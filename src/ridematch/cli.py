@@ -45,6 +45,18 @@ REPORT_COLUMNS = (
 )
 
 
+# Numeric top-level config fields: (accepted types, valid-range check, what the range is).
+_NUMERIC_FIELDS = {
+    "k": (int, lambda v: v >= 1, ">= 1"),
+    "max_delay_s": ((int, float), lambda v: v > 0, "positive"),
+    "space_precision": (int, lambda v: 1 <= v <= 12, "in [1, 12]"),
+    "time_interval_s": ((int, float), lambda v: v > 0, "positive"),
+    "alternates": (int, None, None),
+    "optimal_cap": (int, None, None),
+    "seed": (int, None, None),
+}
+
+
 class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
@@ -89,17 +101,16 @@ class ExperimentConfig:
         for ld in cfg.loads:
             if not isinstance(ld, (int, float)) or not 0.0 < ld <= 1.0:
                 errors.append(f"load {ld!r} outside (0, 1]")
-        if cfg.k < 1:
-            errors.append(f"k must be >= 1, got {cfg.k}")
+        for name, (types, in_range, range_text) in _NUMERIC_FIELDS.items():
+            value = getattr(cfg, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                kind = "an integer" if types is int else "a number"
+                errors.append(f"{name} must be {kind}, got {value!r}")
+            elif in_range is not None and not in_range(value):
+                errors.append(f"{name} must be {range_text}, got {value}")
         for a in cfg.approaches:
             if a not in APPROACHES:
                 errors.append(f"unknown approach {a!r} (choose from {', '.join(APPROACHES)})")
-        if cfg.max_delay_s <= 0:
-            errors.append(f"max_delay_s must be positive, got {cfg.max_delay_s}")
-        if not 1 <= cfg.space_precision <= 12:
-            errors.append(f"space_precision must be in [1, 12], got {cfg.space_precision}")
-        if cfg.time_interval_s <= 0:
-            errors.append(f"time_interval_s must be positive, got {cfg.time_interval_s}")
         if cfg.timing not in ("wall", "none"):
             errors.append(f"timing must be 'wall' or 'none', got {cfg.timing!r}")
         if "json" not in cfg.network:
@@ -117,6 +128,7 @@ class ExperimentConfig:
             hash_bits=d.get("hash_bits", 10),
             probes=d.get("probes", 4),
             dim=d.get("dim", 128),
+            cp_dim=d.get("cp_dim", 1),
             norm_terms=d.get("m", 2),
             max_norm=d.get("U", 0.75),
             seed=d.get("seed", _stage_seed(self.seed, "lsh")),

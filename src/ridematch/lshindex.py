@@ -17,7 +17,6 @@ from hashlib import blake2b
 
 import numpy as np
 
-from . import accel
 from .represent import (
     DegenerateInputError,
     feature_hash,
@@ -46,26 +45,78 @@ def _next_pow2(n: int) -> int:
 
 
 def _pad(mat: np.ndarray, d_padded: int) -> np.ndarray:
+    """A fresh C-ordered float64 copy of mat, zero-padded to d_padded columns."""
     n, d = mat.shape
     if d == d_padded:
-        return np.ascontiguousarray(mat, dtype=np.float64)
+        return np.array(mat, dtype=np.float64, order="C")
     out = np.zeros((n, d_padded))
     out[:, :d] = mat
     return out
 
 
-def _codes_from_rotated(buf: np.ndarray, cp_dim: int):
-    """Hash codes from a rotated buffer, restricted to the first cp_dim coords.
+def _fwht_rows(x: np.ndarray) -> None:
+    """Unnormalized fast Walsh-Hadamard transform along axis 1, in place."""
+    n, d = x.shape
+    h = 1
+    while h < d:
+        y = x.reshape(n, d // (2 * h), 2, h)
+        a = y[:, :, 0, :].copy()
+        b = y[:, :, 1, :]
+        y[:, :, 0, :] = a + b
+        y[:, :, 1, :] = a - b
+        h *= 2
 
-    cp_dim tunes per-function granularity (2*cp_dim outcomes): full dimension
-    is the classic cross-polytope hash, cp_dim=1 degenerates to a hyperplane
-    sign bit. The runner-up code and margin drive multi-probe.
+
+def _rotate3(x: np.ndarray, signs: np.ndarray) -> None:
+    """Three sign-flip/Hadamard rounds on the rows of x, in place.
+
+    signs: (3, d) of +-1, d a power of two. The d**-1.5 scale makes the
+    product of the three unnormalized transforms exactly orthogonal.
     """
+    d = x.shape[1]
+    for r in range(3):
+        x *= signs[r]
+        _fwht_rows(x)
+    x *= d**-1.5
+
+
+def _top2_abs(y: np.ndarray):
+    """Per row of y: hash codes of the largest and second-largest |entry|.
+
+    Returns (code1, code2, margin) where code = 2*index + (entry < 0) and
+    margin = |top| - |second|. Ties go to the lowest index.
+    """
+    n = y.shape[0]
+    a = np.abs(y)
+    rows = np.arange(n)
+    j1 = a.argmax(axis=1)
+    v1 = y[rows, j1]
+    a[rows, j1] = -np.inf
+    j2 = a.argmax(axis=1)
+    v2 = y[rows, j2]
+    code1 = 2 * j1.astype(np.int64) + (v1 < 0)
+    code2 = 2 * j2.astype(np.int64) + (v2 < 0)
+    margin = np.abs(v1) - np.abs(v2)
+    return code1, code2, margin
+
+
+def _cp_codes(buf: np.ndarray, signs: np.ndarray | None, cp_dim: int):
+    """Per row: (code, runner-up code, margin) of one cross-polytope hash.
+
+    buf holds the rows zero-padded to a power of two and is pseudo-rotated in
+    place (left as is when signs is None). The argmax is restricted to the
+    first cp_dim rotated coordinates: cp_dim tunes per-function granularity
+    (2*cp_dim outcomes); full dimension is the classic cross-polytope hash,
+    cp_dim=1 degenerates to a hyperplane sign bit. The runner-up code and
+    margin drive multi-probe.
+    """
+    if signs is not None:
+        _rotate3(buf, signs)
     if cp_dim == 1:
         y = buf[:, 0]
         codes = (y < 0).astype(np.int64)
         return codes, 1 - codes, np.abs(y)
-    return accel.top2_abs(np.ascontiguousarray(buf[:, :cp_dim]))
+    return _top2_abs(np.ascontiguousarray(buf[:, :cp_dim]))
 
 
 class CpHashFunction:
@@ -96,17 +147,15 @@ class CpHashFunction:
 
     def rotate(self, x: np.ndarray) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
-        buf = _pad(np.atleast_2d(arr), self.d_padded).copy()
+        buf = _pad(np.atleast_2d(arr), self.d_padded)
         if self.signs is not None:
-            accel.rotate3(buf, self.signs)
+            _rotate3(buf, self.signs)
         return buf if arr.ndim > 1 else buf[0]
 
     def hash_batch(self, mat: np.ndarray):
         """Per row: (code, runner-up code, margin between top two |coords|)."""
-        buf = _pad(np.asarray(mat, dtype=np.float64), self.d_padded).copy()
-        if self.signs is not None:
-            accel.rotate3(buf, self.signs)
-        return _codes_from_rotated(buf, self.cp_dim)
+        buf = _pad(np.asarray(mat, dtype=np.float64), self.d_padded)
+        return _cp_codes(buf, self.signs, self.cp_dim)
 
 
 def cp_hash(h: CpHashFunction, x: np.ndarray) -> int:
@@ -175,6 +224,9 @@ class LshIndex:
     """
 
     _QUERY_CHUNK = 1024
+    # Candidate pairs re-scored per einsum. It bounds the two gathered
+    # (pairs x dim) row blocks; larger chunks cost memory and were no faster.
+    _PAIR_CHUNK = 16_384
 
     def __init__(
         self,
@@ -229,14 +281,16 @@ class LshIndex:
         """Hash every row under every (table, function); (n, L, t) arrays."""
         n = mat.shape[0]
         n_fns = self.tables * self.hash_bits
-        buf0 = _pad(mat, self.d_padded)
         codes = np.empty((n, n_fns), dtype=np.int32)
         alts = np.empty((n, n_fns), dtype=np.int32) if want_probes else None
         margins = np.empty((n, n_fns), dtype=np.float32) if want_probes else None
+        padded = _pad(mat, self.d_padded)
+        # One scratch buffer for every function: a fresh one per function is
+        # handed back to the OS on free and page-faulted in again each time.
+        buf = np.empty_like(padded)
         for f in range(n_fns):
-            buf = buf0.copy()
-            accel.rotate3(buf, self.signs[f])
-            c1, c2, mg = _codes_from_rotated(buf, self.cp_dim)
+            np.copyto(buf, padded)
+            c1, c2, mg = _cp_codes(buf, self.signs[f], self.cp_dim)
             codes[:, f] = c1
             if want_probes:
                 alts[:, f] = c2
@@ -373,8 +427,8 @@ class LshIndex:
         pos = combo % len(self.ids)
         distinct = np.bincount(qidx, minlength=nq).astype(np.int64)
         scores = np.empty(len(pos))
-        for lo in range(0, len(pos), 200_000):
-            hi = min(lo + 200_000, len(pos))
+        for lo in range(0, len(pos), self._PAIR_CHUNK):
+            hi = min(lo + self._PAIR_CHUNK, len(pos))
             scores[lo:hi] = np.einsum("ij,ij->i", self.matrix[pos[lo:hi]], qmat[qidx[lo:hi]])
         bounds = np.searchsorted(qidx, np.arange(nq + 1))
         for qi in range(nq):

@@ -14,8 +14,9 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from . import accel
 from .geo import GeoPoint, haversine_km_arrays
 
 METERS_PER_DEGREE_LAT = 111_320.0
@@ -72,6 +73,33 @@ class RoutingLedger:
             self.simulated_latency_ms += BATCH_LATENCY_MS * batches
 
 
+def _csr_graph(indptr, indices, weights) -> csr_matrix:
+    n = len(indptr) - 1
+    return csr_matrix((weights, indices, indptr), shape=(n, n))
+
+
+def _sssp(indptr, indices, weights, source: int) -> tuple[np.ndarray, np.ndarray]:
+    """Single-source shortest paths on a CSR graph; returns (dist, pred).
+
+    pred follows one tie rule: among the in-edges (u, v, w) of v with finite
+    dist[u] and dist[u] + w == dist[v], the predecessor is the u with the
+    smallest (dist[u], u), which is the tree a (distance, node)-ordered heap
+    Dijkstra builds. Weights must be positive; the source and unreachable
+    nodes get -1.
+    """
+    n = len(indptr) - 1
+    dist = dijkstra(_csr_graph(indptr, indices, weights), directed=True, indices=source)
+    tails = np.repeat(np.arange(n), np.diff(indptr))
+    du = dist[tails]
+    tight = np.isfinite(du) & (du + weights == dist[indices])
+    u, v = tails[tight], indices[tight]
+    order = np.lexsort((u, du[tight], v))
+    heads, first = np.unique(v[order], return_index=True)
+    pred = np.full(n, -1, dtype=np.int64)
+    pred[heads] = u[order][first]
+    return dist, pred
+
+
 class RoadNetwork:
     """Directed road graph in CSR form with per-edge durations and lengths.
 
@@ -120,17 +148,15 @@ class RoadNetwork:
     def shortest_from(self, source: int) -> tuple[np.ndarray, np.ndarray]:
         cached = self._sssp_cache.get(source)
         if cached is None:
-            cached = accel.dijkstra_csr(self.indptr, self.edge_v, self.edge_duration, source)
+            cached = _sssp(self.indptr, self.edge_v, self.edge_duration, source)
             self._sssp_cache[source] = cached
         return cached
 
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path durations (seconds); np.inf if unreachable."""
         if self._dmat is None:
-            dmat = np.empty((self.n_nodes, self.n_nodes))
-            for s in range(self.n_nodes):
-                dmat[s] = self.shortest_from(s)[0]
-            self._dmat = dmat
+            graph = _csr_graph(self.indptr, self.edge_v, self.edge_duration)
+            self._dmat = dijkstra(graph, directed=True)
         return self._dmat
 
     def to_dict(self) -> dict:
@@ -317,7 +343,7 @@ def route(net: RoadNetwork, origin: GeoPoint, dest: GeoPoint, alternates: int = 
         while len(routes) < alternates:
             for a, b in zip(last.nodes, last.nodes[1:]):
                 weights[edge_index[(a, b)]] *= ALT_EDGE_PENALTY
-            dist_p, pred_p = accel.dijkstra_csr(net.indptr, net.edge_v, weights, s)
+            dist_p, pred_p = _sssp(net.indptr, net.edge_v, weights, s)
             if not np.isfinite(dist_p[t]):
                 break
             cand = _route_from_nodes(net, _reconstruct(net, pred_p, s, t), dmap)

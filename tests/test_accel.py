@@ -1,20 +1,13 @@
+"""Kernel-level checks of the numeric helpers behind cross-polytope hashing.
+
+The pseudo-rotation and the top-2 extraction are private helpers of
+``ridematch.lshindex``; ``TestCpHash`` in ``test_lshindex.py`` checks them
+again through the public ``CpHashFunction``.
+"""
+
 import numpy as np
-import pytest
 
-from ridematch import accel
-from ridematch.accel import (
-    dijkstra_csr,
-    dijkstra_csr_numpy,
-    rotate3,
-    rotate3_multi,
-    rotate3_numpy,
-    top2_abs,
-    top2_abs_numpy,
-)
-
-needs_numba = pytest.mark.skipif(
-    accel.ACTIVE_BACKEND != "numba", reason="numba backend not active"
-)
+from ridematch.lshindex import _rotate3, _top2_abs
 
 
 def _signs(rng, d):
@@ -25,7 +18,7 @@ def test_rotate3_is_orthogonal(rng):
     d = 64
     signs = _signs(rng, d)
     m = np.eye(d)
-    rotate3(m, signs)
+    _rotate3(m, signs)
     gram = m @ m.T
     assert np.max(np.abs(gram - np.eye(d))) < 1e-12
 
@@ -35,86 +28,13 @@ def test_rotate3_preserves_norm(rng):
     signs = _signs(rng, d)
     x = rng.normal(size=(10, d))
     norms = np.linalg.norm(x, axis=1)
-    rotate3(x, signs)
+    _rotate3(x, signs)
     assert np.allclose(np.linalg.norm(x, axis=1), norms, atol=1e-10)
-
-
-@needs_numba
-def test_rotate3_backends_bitwise_equal(rng):
-    d = 64
-    signs = _signs(rng, d)
-    x = rng.normal(size=(32, d))
-    a = x.copy()
-    b = x.copy()
-    rotate3(a, signs)
-    rotate3_numpy(b, signs)
-    assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_rotate3_multi_backends_bitwise_equal(rng):
-    d = 32
-    signs = rng.integers(0, 2, size=(16, 3, d)).astype(np.float64) * 2 - 1
-    x = rng.normal(size=(16, d))
-    a = x.copy()
-    b = x.copy()
-    rotate3_multi(a, signs)
-    from ridematch.accel import rotate3_multi_numpy
-
-    rotate3_multi_numpy(b, signs)
-    assert np.array_equal(a, b)
-
-
-def test_top2_matches_fallback(rng):
-    y = rng.normal(size=(200, 17))
-    c1, c2, m = top2_abs(np.ascontiguousarray(y))
-    d1, d2, n = top2_abs_numpy(y.copy())
-    assert np.array_equal(c1, d1)
-    assert np.array_equal(c2, d2)
-    assert np.allclose(m, n)
-    assert np.all(m >= 0)
 
 
 def test_top2_tie_goes_to_lowest_index():
     y = np.array([[1.0, -1.0, 0.5]])
-    c1, c2, m = top2_abs(y)
+    c1, c2, m = _top2_abs(y)
     assert c1[0] == 0  # index 0, positive
     assert c2[0] == 3  # index 1, negative
     assert m[0] == 0.0
-
-
-def _small_csr():
-    # 0 -> 1 (1.0), 0 -> 2 (4.0), 1 -> 2 (1.5), 2 -> 3 (1.0), 1 -> 3 (5.0)
-    indptr = np.array([0, 2, 4, 5, 5], dtype=np.int64)
-    indices = np.array([1, 2, 2, 3, 3], dtype=np.int64)
-    weights = np.array([1.0, 4.0, 1.5, 5.0, 1.0])
-    return indptr, indices, weights
-
-
-def test_dijkstra_small_graph():
-    indptr, indices, weights = _small_csr()
-    dist, pred = dijkstra_csr(indptr, indices, weights, 0)
-    assert np.allclose(dist, [0.0, 1.0, 2.5, 3.5])
-    assert pred[3] == 2 and pred[2] == 1 and pred[1] == 0
-
-
-@needs_numba
-def test_dijkstra_backends_agree(rng):
-    n = 40
-    edges = []
-    for u in range(n):
-        for v in rng.choice(n, size=5, replace=False):
-            if u != v:
-                edges.append((u, int(v), float(rng.uniform(0.1, 5.0))))
-    edges.sort()
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for u, _, _ in edges:
-        indptr[u + 1] += 1
-    indptr = np.cumsum(indptr)
-    indices = np.array([v for _, v, _ in edges], dtype=np.int64)
-    weights = np.array([w for _, _, w in edges])
-    for src in (0, 7, n - 1):
-        d1, p1 = dijkstra_csr(indptr, indices, weights, src)
-        d2, p2 = dijkstra_csr_numpy(indptr, indices, weights, src)
-        assert np.array_equal(d1, d2)
-        assert np.array_equal(p1, p2)

@@ -60,6 +60,11 @@ class TestConfigValidation:
         assert cfg.k == 10
         assert cfg.lsh_config().tables == 20
 
+    def test_lsh_cp_dim_passed_through(self):
+        raw = json.loads((DATA / "fixture_config.json").read_text())
+        raw["lsh"]["cp_dim"] = 16
+        assert ExperimentConfig.from_dict(raw).lsh_config().cp_dim == 16
+
 
 class TestRunExperiment:
     def test_fixture_rows(self, fixture_report):
@@ -149,10 +154,16 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.read_text().startswith("scenario,")
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"scenario": {}, "loads": []}))
         assert main(["run", "--config", str(cfg_path)]) == 2
+        raw = json.loads((DATA / "fixture_config.json").read_text())
+        raw["k"] = "10"
+        cfg_path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "config error: k must be an integer, got '10'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2

@@ -42,6 +42,20 @@ class TestCpHash:
     def test_tie_breaks_to_lowest_index(self):
         h = CpHashFunction.identity(4)
         assert cp_hash(h, np.ones(4)) == 0
+        # |1| == |-1|: index 0 (positive) wins, index 1 (negative) is runner-up
+        code, alt, margin = CpHashFunction.identity(3).hash_batch(np.array([[1.0, -1.0, 0.5]]))
+        assert (code[0], alt[0], margin[0]) == (0, 3, 0.0)
+
+    def test_runner_up_code_and_margin(self, rng):
+        y = rng.normal(size=(200, 17))
+        code, alt, margin = CpHashFunction.identity(17).hash_batch(y)
+        rank = np.argsort(-np.abs(y), axis=1, kind="stable")
+        rows = np.arange(len(y))
+        for got, j in ((code, rank[:, 0]), (alt, rank[:, 1])):
+            assert np.array_equal(got, 2 * j + (y[rows, j] < 0))
+        expected = np.abs(y[rows, rank[:, 0]]) - np.abs(y[rows, rank[:, 1]])
+        assert np.array_equal(margin, expected)
+        assert np.all(margin >= 0)
 
     def test_antipodal_codes_differ(self, rng):
         for seed in range(50):
@@ -53,11 +67,15 @@ class TestCpHash:
         x = rng.normal(size=20)
         assert cp_hash(CpHashFunction(20, seed=3), x) == cp_hash(CpHashFunction(20, seed=3), x)
 
-    def test_rotation_orthogonal(self):
-        h = CpHashFunction(48, seed=11)
-        m = h.rotate(np.eye(h.d_padded))
-        gram = m @ m.T
-        assert np.max(np.abs(gram - np.eye(h.d_padded))) < 1e-6
+    def test_rotation_orthogonal(self, rng):
+        for dim, seed in ((48, 11), (64, 0), (128, 5)):
+            h = CpHashFunction(dim, seed=seed)
+            m = h.rotate(np.eye(h.d_padded))
+            gram = m @ m.T
+            assert np.max(np.abs(gram - np.eye(h.d_padded))) < 1e-12
+            x = rng.normal(size=(10, dim))
+            norms = np.linalg.norm(h.rotate(x), axis=1)
+            assert np.allclose(norms, np.linalg.norm(x, axis=1), atol=1e-10)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from ridematch.roadnet import (
     RoadNetwork,
     Route,
     RoutingLedger,
+    _sssp,
     batch_route,
     build_city_network,
     build_grid_network,
@@ -36,6 +38,70 @@ def brute_force_shortest(net, s, t):
             if v not in seen:
                 stack.append((v, cost + d, seen | {v}))
     return best
+
+
+def reference_sssp(indptr, indices, weights, source):
+    """Heap Dijkstra with pops ordered by (distance, node); defines the pred tie rule."""
+    n = len(indptr) - 1
+    dist = np.full(n, np.inf)
+    pred = np.full(n, -1, dtype=np.int64)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    done = np.zeros(n, dtype=bool)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for e in range(indptr[u], indptr[u + 1]):
+            v = int(indices[e])
+            nd = d + weights[e]
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, pred
+
+
+def random_int_digraph(rng, n):
+    """CSR digraph with 0-3 out-edges per node (parallel edges allowed), weights in {1, 2, 3}."""
+    edges = sorted(
+        (u, int(v), float(rng.integers(1, 4)))
+        for u in range(n)
+        for v in rng.integers(0, n, size=rng.integers(0, 4))
+        if u != v
+    )
+    indptr = np.searchsorted([e[0] for e in edges], np.arange(n + 1)).astype(np.int64)
+    indices = np.array([e[1] for e in edges], dtype=np.int64)
+    weights = np.array([e[2] for e in edges], dtype=np.float64)
+    return indptr, indices, weights
+
+
+class TestSssp:
+    def test_small_graph(self):
+        # 0 -> 1 (1.0), 0 -> 2 (4.0), 1 -> 2 (1.5), 1 -> 3 (5.0), 2 -> 3 (1.0)
+        indptr = np.array([0, 2, 4, 5, 5], dtype=np.int64)
+        indices = np.array([1, 2, 2, 3, 3], dtype=np.int64)
+        weights = np.array([1.0, 4.0, 1.5, 5.0, 1.0])
+        dist, pred = _sssp(indptr, indices, weights, 0)
+        assert np.allclose(dist, [0.0, 1.0, 2.5, 3.5])
+        assert pred.tolist() == [-1, 0, 1, 2]
+
+    def test_pred_tie_rule_matches_reference_heap(self):
+        grid = build_grid_network(12, 12)
+        unit = (grid.indptr, grid.edge_v, np.ones(len(grid.edge_v)))  # every path ties
+        rng = np.random.default_rng(7)
+        graphs = [unit] + [random_int_digraph(rng, 30) for _ in range(20)]
+        unreachable = no_neighbour_source = 0
+        for g in graphs:
+            for s in range(len(g[0]) - 1):
+                dist, pred = _sssp(*g, s)
+                ref_dist, ref_pred = reference_sssp(*g, s)
+                assert np.array_equal(dist, ref_dist)
+                assert np.array_equal(pred, ref_pred)
+                unreachable += int(np.isinf(dist).sum())
+                no_neighbour_source += int(np.isfinite(dist).sum() == 1)
+        assert unreachable > 0 and no_neighbour_source > 0
 
 
 class TestGridNetwork:
