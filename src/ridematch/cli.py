@@ -8,7 +8,9 @@ routing-call accounting. `match-bench run` executes a JSON config;
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -51,9 +53,23 @@ _NUMERIC_FIELDS = {
     "max_delay_s": ((int, float), lambda v: v > 0, "positive"),
     "space_precision": (int, lambda v: 1 <= v <= 12, "in [1, 12]"),
     "time_interval_s": ((int, float), lambda v: v > 0, "positive"),
-    "alternates": (int, None, None),
-    "optimal_cap": (int, None, None),
+    "alternates": (int, lambda v: v >= 1, ">= 1"),
+    "optimal_cap": (int, lambda v: v >= 1, ">= 1"),
     "seed": (int, None, None),
+}
+
+# Accepted keys of the "lsh" config section -> the LshConfig field each sets.
+_LSH_KEYS = {
+    "tables": "tables",
+    "hash_bits": "hash_bits",
+    "probes": "probes",
+    "dim": "dim",
+    "cp_dim": "cp_dim",
+    "m": "norm_terms",
+    "U": "max_norm",
+    "seed": "seed",
+    "k": "k",
+    "center": "center",
 }
 
 
@@ -111,6 +127,12 @@ class ExperimentConfig:
         for a in cfg.approaches:
             if a not in APPROACHES:
                 errors.append(f"unknown approach {a!r} (choose from {', '.join(APPROACHES)})")
+        if not isinstance(cfg.lsh, dict):
+            errors.append(f"lsh must be an object, got {cfg.lsh!r}")
+        else:
+            for key in cfg.lsh:
+                if key not in _LSH_KEYS:
+                    errors.append(f"unknown lsh key {key!r} (choose from {', '.join(_LSH_KEYS)})")
         if cfg.timing not in ("wall", "none"):
             errors.append(f"timing must be 'wall' or 'none', got {cfg.timing!r}")
         if "json" not in cfg.network:
@@ -122,19 +144,9 @@ class ExperimentConfig:
         return cfg
 
     def lsh_config(self) -> LshConfig:
-        d = self.lsh
-        return LshConfig(
-            tables=d.get("tables", 50),
-            hash_bits=d.get("hash_bits", 10),
-            probes=d.get("probes", 4),
-            dim=d.get("dim", 128),
-            cp_dim=d.get("cp_dim", 1),
-            norm_terms=d.get("m", 2),
-            max_norm=d.get("U", 0.75),
-            seed=d.get("seed", _stage_seed(self.seed, "lsh")),
-            k=d.get("k", self.k),
-            center=d.get("center", False),
-        )
+        fields = {"dim": 128, "seed": _stage_seed(self.seed, "lsh"), "k": self.k}
+        fields.update((_LSH_KEYS[key], value) for key, value in self.lsh.items())
+        return LshConfig(**fields)
 
 
 @dataclass
@@ -267,7 +279,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     degenerate_rides=None,
                 )
             except Exception as exc:  # isolate approach failures
-                optimal_row["status"] = f"failed: {type(exc).__name__}"
+                optimal_row["status"] = f"failed: {type(exc).__name__}: {exc}"
         for approach in cfg.approaches:
             if approach == "optimal":
                 rows.append(optimal_row)
@@ -306,7 +318,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     degenerate_rides=len(summary.degenerate_ids) if summary else None,
                 )
             except Exception as exc:
-                row["status"] = f"failed: {type(exc).__name__}"
+                row["status"] = f"failed: {type(exc).__name__}: {exc}"
             rows.append(row)
     meta = {
         "scenario": workload.label,
@@ -336,10 +348,13 @@ def _round6(value):
 
 
 def report_to_csv(report: ExperimentReport) -> str:
-    lines = [",".join(REPORT_COLUMNS)]
+    """CSV text; a cell holding a comma or quote (a failure message) is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
     for row in report.rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in REPORT_COLUMNS))
-    return "\n".join(lines) + "\n"
+        writer.writerow(_fmt(row.get(col)) for col in REPORT_COLUMNS)
+    return out.getvalue()
 
 
 def report_to_json(report: ExperimentReport) -> str:

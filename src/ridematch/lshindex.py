@@ -1,11 +1,16 @@
 """Cross-polytope LSH over transformed ride vectors.
 
 A hash function pseudo-rotates a vector (three sign-flip/Hadamard rounds) and
-returns the nearest signed basis vector: 2*argmax|y| + (1 if that coordinate
-is negative). Per table, `hash_bits` function outputs are mixed into one
-64-bit bucket key with seeded odd multipliers, which makes multi-probe a
-matter of O(1) key deltas. Retrieved candidates are re-scored by exact inner
-product, so only the candidate set is approximate, never the scores.
+returns the nearest signed basis vector among the first `cp_dim` rotated
+coordinates: 2*argmax|y| + (1 if that coordinate is negative). Only those
+rows of the rotation are ever read, so they are built once per index (three
+Hadamard transforms over a block of unit vectors) and hashing is one matrix
+product, a projection onto them. A projected coordinate with |y| < 1e-12
+counts as exactly 0, which hashes to the + side with margin 0. Per table,
+`hash_bits` function outputs are mixed into one 64-bit bucket key with seeded
+odd multipliers, which makes multi-probe a matter of O(1) key deltas.
+Retrieved candidates are re-scored by exact inner product, so only the
+candidate set is approximate, never the scores.
 """
 
 from __future__ import annotations
@@ -100,23 +105,51 @@ def _top2_abs(y: np.ndarray):
     return code1, code2, margin
 
 
-def _cp_codes(buf: np.ndarray, signs: np.ndarray | None, cp_dim: int):
-    """Per row: (code, runner-up code, margin) of one cross-polytope hash.
+# A projected coordinate with |y| below this is exactly 0: the + side code,
+# margin 0. Query entries are multiples of 1/sqrt(m), so a true projection is
+# often exactly 0, and floating-point sums leave noise of either sign there.
+_ZERO_TOL = 1e-12
 
-    buf holds the rows zero-padded to a power of two and is pseudo-rotated in
-    place (left as is when signs is None). The argmax is restricted to the
-    first cp_dim rotated coordinates: cp_dim tunes per-function granularity
-    (2*cp_dim outcomes); full dimension is the classic cross-polytope hash,
-    cp_dim=1 degenerates to a hyperplane sign bit. The runner-up code and
-    margin drive multi-probe.
+
+def _projection(signs: np.ndarray, dim_in: int, cp_dim: int) -> np.ndarray:
+    """The first cp_dim rows of every function's rotation, unscaled.
+
+    signs: (n_fns, 3, d) of +-1. Function f rotates x to
+    y = c*H*S2*H*S1*H*S0*x with c = d**-1.5, and H is symmetric, so its
+    row j is c*S0*H*S1*H*S2*H*e_j. Returns the (dim_in, n_fns*cp_dim) matrix
+    whose column f*cp_dim + j is that row without c, cut to the first dim_in
+    coordinates because the padding coordinates multiply zeros. Its entries
+    are integers.
     """
-    if signs is not None:
-        _rotate3(buf, signs)
+    n_fns, _, d = signs.shape
+    rows = np.zeros((n_fns, cp_dim, d))
+    diag = np.arange(cp_dim)
+    rows[:, diag, diag] = 1.0
+    flat = rows.reshape(-1, d)
+    for r in (2, 1, 0):
+        _fwht_rows(flat)
+        rows *= signs[:, r, None, :]
+    return flat[:, :dim_in].T
+
+
+def _project_codes(mat: np.ndarray, proj: np.ndarray, cp_dim: int, scale: float):
+    """Per row and function: (code, runner-up code, margin), each (n, n_fns).
+
+    proj holds cp_dim projection columns per function (see _projection).
+    The argmax is restricted to those cp_dim rotated coordinates: cp_dim
+    tunes per-function granularity (2*cp_dim outcomes); full dimension is the
+    classic cross-polytope hash, cp_dim=1 degenerates to a hyperplane sign
+    bit. The runner-up code and margin drive multi-probe.
+    """
+    n = mat.shape[0]
+    y = mat @ proj
+    y *= scale
+    y[np.abs(y) < _ZERO_TOL] = 0.0
     if cp_dim == 1:
-        y = buf[:, 0]
         codes = (y < 0).astype(np.int64)
         return codes, 1 - codes, np.abs(y)
-    return _top2_abs(np.ascontiguousarray(buf[:, :cp_dim]))
+    c1, c2, margin = _top2_abs(y.reshape(-1, cp_dim))
+    return c1.reshape(n, -1), c2.reshape(n, -1), margin.reshape(n, -1)
 
 
 class CpHashFunction:
@@ -137,9 +170,13 @@ class CpHashFunction:
             raise ValueError(f"cp_dim must be in [1, {self.d_padded}], got {cp_dim}")
         if seed is None:
             self.signs = None
+            self.proj = np.eye(self.d_padded)[:dim, : self.cp_dim]
+            self.scale = 1.0
         else:
             rng = np.random.default_rng((seed, 0xC9))
             self.signs = rng.integers(0, 2, size=(3, self.d_padded)).astype(np.float64) * 2.0 - 1.0
+            self.proj = _projection(self.signs[None], dim, self.cp_dim)
+            self.scale = self.d_padded**-1.5
 
     @classmethod
     def identity(cls, dim: int) -> "CpHashFunction":
@@ -154,8 +191,9 @@ class CpHashFunction:
 
     def hash_batch(self, mat: np.ndarray):
         """Per row: (code, runner-up code, margin between top two |coords|)."""
-        buf = _pad(np.asarray(mat, dtype=np.float64), self.d_padded)
-        return _cp_codes(buf, self.signs, self.cp_dim)
+        mat = np.asarray(mat, dtype=np.float64)
+        codes, alts, margins = _project_codes(mat, self.proj, self.cp_dim, self.scale)
+        return codes[:, 0], alts[:, 0], margins[:, 0]
 
 
 def cp_hash(h: CpHashFunction, x: np.ndarray) -> int:
@@ -227,6 +265,10 @@ class LshIndex:
     # Candidate pairs re-scored per einsum. It bounds the two gathered
     # (pairs x dim) row blocks; larger chunks cost memory and were no faster.
     _PAIR_CHUNK = 16_384
+    # Projected values per hashing block (16 MB of float64). It bounds the
+    # (rows x functions*cp_dim) product and the top-2 temporaries, and the
+    # block of rotation rows built at construction.
+    _HASH_BLOCK = 2**21
 
     def __init__(
         self,
@@ -238,6 +280,12 @@ class LshIndex:
         route_ids=None,
         cp_dim: int | None = None,
     ):
+        """Hash every row of matrix into `tables` tables of `hash_bits` functions.
+
+        The projection `proj` is a (dim, tables*hash_bits*cp_dim) float64
+        matrix: 8*dim*tables*hash_bits*cp_dim bytes, 520 KB for dim 130 and
+        500 functions at cp_dim=1, 133 MB at the full cp_dim of 256.
+        """
         if len(ids) == 0:
             raise DegenerateInputError("cannot build an index over no vectors")
         if tables < 1 or hash_bits < 1:
@@ -262,11 +310,21 @@ class LshIndex:
 
         n_fns = tables * hash_bits
         rng = np.random.default_rng((seed, 0x51))
-        self.signs = rng.integers(0, 2, size=(n_fns, 3, self.d_padded)).astype(np.float64) * 2.0 - 1.0
+        signs = rng.integers(0, 2, size=(n_fns, 3, self.d_padded)).astype(np.float64) * 2.0 - 1.0
         rng2 = np.random.default_rng((seed, 0x52))
         self.mults = rng2.integers(1, 2**63, size=(tables, hash_bits), dtype=np.uint64) | _U64(1)
+        self.scale = self.d_padded**-1.5
+        self.proj = np.empty((self.dim_in, n_fns * self.cp_dim))
+        for f0, f1 in self._fn_blocks(self.d_padded):
+            cols = slice(f0 * self.cp_dim, f1 * self.cp_dim)
+            self.proj[:, cols] = _projection(signs[f0:f1], self.dim_in, self.cp_dim)
 
         codes, _, _ = self._hash_all(self.matrix, want_probes=False)
+        # Entry positions in (ride id, position) order, and each entry's rank
+        # in it: sorting candidates by rank puts a ride's routes side by side.
+        self._by_ride = np.argsort(self.ids, kind="stable")
+        self._ride_rank = np.empty(len(self.ids), dtype=np.int64)
+        self._ride_rank[self._by_ride] = np.arange(len(self.ids))
         self._stores = []
         for tbl in range(tables):
             keys = self._mix(codes[:, tbl, :], tbl)
@@ -277,6 +335,12 @@ class LshIndex:
             offsets = np.concatenate([np.nonzero(newgrp)[0], [len(skeys)]]).astype(np.int64)
             self._stores.append((uniq, offsets, order))
 
+    def _fn_blocks(self, n_rows: int):
+        """(first, end) function ranges of at most _HASH_BLOCK values over n_rows rows."""
+        n_fns = self.tables * self.hash_bits
+        step = max(1, self._HASH_BLOCK // (n_rows * self.cp_dim))
+        return [(f0, min(f0 + step, n_fns)) for f0 in range(0, n_fns, step)]
+
     def _hash_all(self, mat, want_probes: bool):
         """Hash every row under every (table, function); (n, L, t) arrays."""
         n = mat.shape[0]
@@ -284,17 +348,13 @@ class LshIndex:
         codes = np.empty((n, n_fns), dtype=np.int32)
         alts = np.empty((n, n_fns), dtype=np.int32) if want_probes else None
         margins = np.empty((n, n_fns), dtype=np.float32) if want_probes else None
-        padded = _pad(mat, self.d_padded)
-        # One scratch buffer for every function: a fresh one per function is
-        # handed back to the OS on free and page-faulted in again each time.
-        buf = np.empty_like(padded)
-        for f in range(n_fns):
-            np.copyto(buf, padded)
-            c1, c2, mg = _cp_codes(buf, self.signs[f], self.cp_dim)
-            codes[:, f] = c1
+        for f0, f1 in self._fn_blocks(n):
+            cols = slice(f0 * self.cp_dim, f1 * self.cp_dim)
+            c1, c2, mg = _project_codes(mat, self.proj[:, cols], self.cp_dim, self.scale)
+            codes[:, f0:f1] = c1
             if want_probes:
-                alts[:, f] = c2
-                margins[:, f] = mg
+                alts[:, f0:f1] = c2
+                margins[:, f0:f1] = mg
         shape = (n, self.tables, self.hash_bits)
         return (
             codes.reshape(shape),
@@ -352,10 +412,8 @@ class LshIndex:
             heap = [(m[0], (0,))]
             while heap and got < probes:
                 cost, subset = heapq.heappop(heap)
-                key = base[r]
-                for rank in subset:
-                    key = key + deltas[r, order[rank]]
-                keys[r, got] = key
+                # an array sum wraps mod 2**64 silently, as the closed form does
+                keys[r, got] = np.append(deltas[r, order[list(subset)]], base[r]).sum(dtype=np.uint64)
                 valid[r, got] = True
                 got += 1
                 last = subset[-1]
@@ -385,7 +443,11 @@ class LshIndex:
             raws[lo:hi] = raw
         return results, counts, raws
 
-    def _query_chunk(self, qmat, k, probes, exclude_ids):
+    def _candidates(self, qmat, probes):
+        """Every (query row, entry position) retrieved, repeats included.
+
+        Returns (query rows, entry positions, raw retrieved count per query).
+        """
         nq = qmat.shape[0]
         codes, alts, margins = self._hash_all(qmat, want_probes=True)
         raw_counts = np.zeros(nq, dtype=np.int64)
@@ -413,40 +475,53 @@ class LshIndex:
             flat_idx = np.arange(total) + np.repeat(starts - np.concatenate([[0], cum[:-1]]), lens)
             all_pos.append(entry_pos[flat_idx])
             all_q.append(np.repeat(q_of_flat, lens))
-        results: list[list[tuple[int, float]]] = [[] for _ in range(nq)]
         if not all_pos:
-            return results, np.zeros(nq, dtype=np.int64), raw_counts
-        pos = np.concatenate(all_pos)
-        qidx = np.concatenate(all_q)
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, raw_counts
+        return np.concatenate(all_q), np.concatenate(all_pos), raw_counts
+
+    def _query_chunk(self, qmat, k, probes, exclude_ids):
+        nq = qmat.shape[0]
+        qidx, pos, raw_counts = self._candidates(qmat, probes)
         if exclude_ids is not None:
             keep = self.ids[pos] != exclude_ids[qidx]
             pos = pos[keep]
             qidx = qidx[keep]
-        combo = np.unique(qidx * len(self.ids) + pos)
-        qidx = combo // len(self.ids)
-        pos = combo % len(self.ids)
+        # distinct (query, entry) pairs, sorted by (query, ride id, entry)
+        n = len(self.ids)
+        pair = np.sort(qidx * n + self._ride_rank[pos])
+        pair = pair[_first_of_runs(pair)]
+        qidx, rank = np.divmod(pair, n)
+        pos = self._by_ride[rank]
         distinct = np.bincount(qidx, minlength=nq).astype(np.int64)
         scores = np.empty(len(pos))
         for lo in range(0, len(pos), self._PAIR_CHUNK):
             hi = min(lo + self._PAIR_CHUNK, len(pos))
             scores[lo:hi] = np.einsum("ij,ij->i", self.matrix[pos[lo:hi]], qmat[qidx[lo:hi]])
+        # each ride's best route, then per query: descending score, ties by
+        # ride id (the stable sort keeps the ride id order), the first k
+        rids = self.ids[pos]
+        starts = np.flatnonzero(_first_of_runs(qidx, rids))
+        scores = np.maximum.reduceat(scores, starts)
+        qidx, rids = qidx[starts], rids[starts]
+        order = np.lexsort((-scores, qidx))
+        qidx, rids, scores = qidx[order], rids[order], scores[order]
         bounds = np.searchsorted(qidx, np.arange(nq + 1))
-        for qi in range(nq):
-            s, e = bounds[qi], bounds[qi + 1]
-            if s == e:
-                continue
-            cids = self.ids[pos[s:e]]
-            cscores = scores[s:e]
-            croutes = self.routes[pos[s:e]]
-            order = np.lexsort((croutes, -cscores, cids))
-            best: dict[int, float] = {}
-            for j in order:
-                rid = int(cids[j])
-                if rid not in best:  # best route per ride id
-                    best[rid] = float(cscores[j])
-            ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-            results[qi] = ranked
+        top = np.arange(len(qidx)) - bounds[qidx] < k
+        rids, scores = rids[top].tolist(), scores[top].tolist()
+        bounds = np.searchsorted(qidx[top], np.arange(nq + 1))
+        results = [
+            list(zip(rids[s:e], scores[s:e])) for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        ]
         return results, distinct, raw_counts
+
+
+def _first_of_runs(*keys):
+    """Mask of the entries that start a run of equal key tuples in sorted arrays."""
+    first = np.ones(len(keys[0]), dtype=bool)
+    if len(first):
+        first[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    return first
 
 
 def build_index(

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from ridematch.cli import (
     run_experiment,
     ExperimentReport,
 )
+from ridematch.lshindex import LshConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,6 +68,27 @@ class TestConfigValidation:
         raw["lsh"]["cp_dim"] = 16
         assert ExperimentConfig.from_dict(raw).lsh_config().cp_dim == 16
 
+    def test_every_lsh_key_reaches_its_field(self):
+        raw = json.loads((DATA / "fixture_config.json").read_text())
+        raw["lsh"] = {
+            "tables": 3, "hash_bits": 5, "probes": 2, "dim": 32, "cp_dim": 4,
+            "m": 3, "U": 0.5, "seed": 99, "k": 7, "center": True,
+        }
+        assert ExperimentConfig.from_dict(raw).lsh_config() == LshConfig(
+            tables=3, hash_bits=5, probes=2, dim=32, cp_dim=4,
+            norm_terms=3, max_norm=0.5, seed=99, k=7, center=True,
+        )
+
+    def test_unknown_lsh_key_rejected_with_other_errors(self):
+        raw = json.loads((DATA / "fixture_config.json").read_text())
+        raw["lsh"]["tabels"] = 9
+        raw["k"] = 0
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(raw)
+        messages = "\n".join(exc.value.errors)
+        assert "unknown lsh key 'tabels'" in messages
+        assert "k must be >= 1, got 0" in messages
+
 
 class TestRunExperiment:
     def test_fixture_rows(self, fixture_report):
@@ -100,6 +124,16 @@ class TestRunExperiment:
         assert statuses["optimal"].startswith("failed")
         assert statuses["closeby"] == "ok"
 
+    def test_failure_status_carries_message(self):
+        raw = json.loads((DATA / "fixture_config.json").read_text())
+        raw["scenario"] = {"synth": {"n": 30, "seed": 1}}
+        raw["approaches"] = ["optimal"]
+        raw["optimal_cap"] = 5
+        (row,) = run_experiment(ExperimentConfig.from_dict(raw)).rows
+        assert row["status"].startswith(
+            "failed: ValueError: optimal baseline is O(n^2) and capped at 5 rides (got 30)"
+        )
+
 
 class TestEmit:
     def test_json_and_csv_same_values(self, fixture_report):
@@ -117,6 +151,13 @@ class TestEmit:
                     assert float(cell) == pytest.approx(jval, rel=1e-9)
                 else:
                     assert str(jval) == cell
+
+    def test_csv_quotes_cell_with_comma(self):
+        status = "failed: KeyError: 'a, b'"
+        report = ExperimentReport(rows=[{"approach": "lsh", "status": status}], meta={})
+        header, row = csv.reader(io.StringIO(report_to_csv(report)))
+        assert len(row) == len(header)
+        assert row[header.index("status")] == status
 
     def test_empty_report_header_only(self):
         text = report_to_csv(ExperimentReport(rows=[], meta={}))
@@ -164,6 +205,17 @@ class TestMain:
         capsys.readouterr()
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "config error: k must be an integer, got '10'" in capsys.readouterr().err
+        for key, value in (("alternates", 0), ("optimal_cap", -5)):
+            raw = json.loads((DATA / "fixture_config.json").read_text())
+            raw[key] = value
+            cfg_path.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(cfg_path)]) == 2
+            assert f"config error: {key} must be >= 1, got {value}" in capsys.readouterr().err
+        raw = json.loads((DATA / "fixture_config.json").read_text())
+        raw["lsh"]["tabels"] = 9
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "config error: unknown lsh key 'tabels'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2

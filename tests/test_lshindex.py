@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridematch.represent import DegenerateInputError
 from ridematch.lshindex import (
@@ -18,6 +22,35 @@ from ridematch.trips import synth_commute
 def _unit_rows(rng, n, d):
     x = rng.normal(size=(n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def _reference_query_batch(idx, qmat, k, probes, exclude_ids=None):
+    """query_batch as a per-query dict/sorted loop over the same candidates."""
+    nq = qmat.shape[0]
+    qidx, pos, raw = idx._candidates(qmat, probes)
+    if exclude_ids is not None:
+        keep = idx.ids[pos] != exclude_ids[qidx]
+        pos, qidx = pos[keep], qidx[keep]
+    combo = np.unique(qidx * len(idx.ids) + pos)
+    qidx, pos = combo // len(idx.ids), combo % len(idx.ids)
+    distinct = np.bincount(qidx, minlength=nq)
+    scores = np.einsum("ij,ij->i", idx.matrix[pos], qmat[qidx])
+    bounds = np.searchsorted(qidx, np.arange(nq + 1))
+    results = []
+    for qi in range(nq):
+        s, e = bounds[qi], bounds[qi + 1]
+        cids, cscores, croutes = idx.ids[pos[s:e]], scores[s:e], idx.routes[pos[s:e]]
+        best: dict[int, float] = {}
+        for j in np.lexsort((croutes, -cscores, cids)):
+            best.setdefault(int(cids[j]), float(cscores[j]))  # best route per ride id
+        results.append(sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k])
+    return results, distinct, raw
+
+
+def _assert_same_query_batch(got, want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
 
 
 class TestCpHash:
@@ -92,6 +125,64 @@ class TestCpHash:
             CpHashFunction(8, seed=0, cp_dim=0)
         with pytest.raises(ValueError):
             CpHashFunction(8, seed=0, cp_dim=9)
+
+
+class TestProjectionHash:
+    """Hashing reads the first cp_dim rows of the rotation as one projection."""
+
+    @staticmethod
+    def _zero_on(proj, f, perturb):
+        # proj holds integers, so W[b,f]*e_a - W[a,f]*e_b projects to exactly
+        # 0 on column f; perturb adds a negative |y| far below 1e-12.
+        a, b = np.flatnonzero(proj[:, f])[:2]
+        x = np.zeros(proj.shape[0])
+        x[a], x[b] = proj[b, f], -proj[a, f]
+        x[a] -= perturb * np.sign(proj[a, f])
+        return x
+
+    @pytest.mark.parametrize("perturb", [0.0, 1e-13])
+    def test_zero_rule_through_index(self, rng, perturb):
+        idx = LshIndex(np.arange(20), _unit_rows(rng, 20, 12), tables=3, hash_bits=4, seed=5, cp_dim=1)
+        for f in range(idx.tables * idx.hash_bits):
+            x = self._zero_on(idx.proj, f, perturb)
+            codes, alts, margins = idx._hash_all(x[None, :], want_probes=True)
+            tbl, bit = divmod(f, idx.hash_bits)
+            assert (codes[0, tbl, bit], alts[0, tbl, bit], margins[0, tbl, bit]) == (0, 1, 0.0)
+
+    @pytest.mark.parametrize("perturb", [0.0, 1e-13])
+    def test_zero_rule_through_hash_batch(self, perturb):
+        for seed in range(10):
+            h = CpHashFunction(12, seed=seed, cp_dim=1)
+            x = self._zero_on(h.proj, 0, perturb)
+            code, alt, margin = h.hash_batch(x[None, :])
+            assert (code[0], alt[0], margin[0]) == (0, 1, 0.0)
+
+    @pytest.mark.parametrize("cp_dim", [1, 2, 8, None])
+    def test_codes_are_argmax_of_rotation(self, rng, cp_dim):
+        x = rng.normal(size=(300, 40))
+        for seed in range(5):
+            h = CpHashFunction(40, seed=seed, cp_dim=cp_dim)
+            y = h.rotate(x)[:, : h.cp_dim]
+            rank = np.argsort(-np.abs(y), axis=1, kind="stable")
+            rows = np.arange(len(y))
+            code, alt, margin = h.hash_batch(x)
+            assert np.array_equal(code, 2 * rank[:, 0] + (y[rows, rank[:, 0]] < 0))
+            if h.cp_dim > 1:
+                assert np.array_equal(alt, 2 * rank[:, 1] + (y[rows, rank[:, 1]] < 0))
+                top2 = np.abs(y[rows, rank[:, 0]]) - np.abs(y[rows, rank[:, 1]])
+                assert np.allclose(margin, top2, rtol=0.0, atol=1e-12)
+
+    def test_hashing_memory_bounded(self, rng):
+        x = _unit_rows(rng, 1024, 66)
+        idx = LshIndex(np.arange(1024), x, tables=16, hash_bits=10, seed=1)
+        assert idx.cp_dim == 128
+        tracemalloc.start()
+        try:
+            idx._hash_all(x, want_probes=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestSuggestParams:
@@ -218,6 +309,52 @@ class TestQuery:
         batch, _, _ = idx.query_batch(qs, k=5, probes_per_table=2)
         for i in range(10):
             assert batch[i] == query(idx, qs[i], k=5, probes_per_table=2)
+
+
+@st.composite
+def _index_and_queries(draw):
+    dim = draw(st.integers(2, 9))
+    vec = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    pool = draw(st.lists(vec, min_size=1, max_size=5))  # shared rows give equal scores
+    ride_ids = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=8, unique=True))
+    ids, routes, rows = [], [], []
+    for rid in ride_ids:
+        for route in range(draw(st.integers(1, 3))):
+            ids.append(rid)
+            routes.append(route)
+            rows.append(draw(st.sampled_from(pool)))
+    queries = draw(st.lists(st.one_of(st.sampled_from(pool), vec), min_size=1, max_size=6))
+    exclude = draw(st.none() | st.lists(st.sampled_from(ride_ids + [999]), min_size=len(queries),
+                                        max_size=len(queries)))
+    tables = draw(st.integers(1, 4))
+    hash_bits = draw(st.integers(1, 3))
+    cp_dim = draw(st.integers(1, 2 ** (dim - 1).bit_length()))  # up to the padded width
+    seed = draw(st.integers(0, 2**32))
+    idx = LshIndex(ids, np.array(rows, dtype=float) / 2, tables, hash_bits, seed, routes, cp_dim)
+    excl = None if exclude is None else np.array(exclude, dtype=np.int64)
+    return idx, np.array(queries, dtype=float) / 2, excl
+
+
+class TestRanking:
+    """query_batch ranks like the per-query reference loop, exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_index_and_queries(), k=st.integers(1, 30), probes=st.integers(1, 6))
+    def test_matches_reference(self, data, k, probes):
+        idx, qmat, excl = data
+        got = idx.query_batch(qmat, k, probes, exclude_ids=excl)
+        _assert_same_query_batch(got, _reference_query_batch(idx, qmat, k, probes, excl))
+
+    def test_more_queries_than_one_chunk(self, rng):
+        ids = np.repeat(np.arange(300), 2)
+        rows = _unit_rows(rng, 600, 10)
+        rows[1::4] = rows[0::4]  # both routes of every other ride tie
+        idx = LshIndex(ids, rows, tables=6, hash_bits=3, seed=2, route_ids=np.tile([0, 1], 300))
+        nq = LshIndex._QUERY_CHUNK + 77
+        qmat = _unit_rows(rng, nq, 10)
+        excl = rng.integers(0, 300, size=nq)
+        got = idx.query_batch(qmat, 12, 3, exclude_ids=excl)
+        _assert_same_query_batch(got, _reference_query_batch(idx, qmat, 12, 3, excl))
 
 
 class TestCollisionProbability:
