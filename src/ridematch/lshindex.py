@@ -132,6 +132,13 @@ def _projection(signs: np.ndarray, dim_in: int, cp_dim: int) -> np.ndarray:
     return flat[:, :dim_in].T
 
 
+def _signs(seed: int, n_fns: int, d: int) -> np.ndarray:
+    """The (n_fns, 3, d) +-1 rotation signs of the first n_fns functions of
+    the hash family under seed; fewer functions are a prefix of more."""
+    rng = np.random.default_rng((seed, 0x51))
+    return rng.integers(0, 2, size=(n_fns, 3, d)).astype(np.float64) * 2.0 - 1.0
+
+
 def _project_codes(mat: np.ndarray, proj: np.ndarray, cp_dim: int, scale: float):
     """Per row and function: (code, runner-up code, margin), each (n, n_fns).
 
@@ -160,6 +167,7 @@ class CpHashFunction:
     identity, the test seam for the argmax/sign rule. cp_dim < d restricts
     the argmax to the first cp_dim rotated coordinates (the low-dimensional
     cross-polytope variant used to trade sharpness for collision rate).
+    Under a seed it is function 0 of an LshIndex built with that seed.
     """
 
     def __init__(self, dim: int, seed: int | None = 0, cp_dim: int | None = None):
@@ -173,8 +181,7 @@ class CpHashFunction:
             self.proj = np.eye(self.d_padded)[:dim, : self.cp_dim]
             self.scale = 1.0
         else:
-            rng = np.random.default_rng((seed, 0xC9))
-            self.signs = rng.integers(0, 2, size=(3, self.d_padded)).astype(np.float64) * 2.0 - 1.0
+            self.signs = _signs(seed, 1, self.d_padded)[0]
             self.proj = _projection(self.signs[None], dim, self.cp_dim)
             self.scale = self.d_padded**-1.5
 
@@ -277,7 +284,6 @@ class LshIndex:
         tables: int,
         hash_bits: int,
         seed: int = 0,
-        route_ids=None,
         cp_dim: int | None = None,
     ):
         """Hash every row of matrix into `tables` tables of `hash_bits` functions.
@@ -294,11 +300,6 @@ class LshIndex:
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         if np.any(np.linalg.norm(self.matrix, axis=1) == 0.0):
             raise ValueError("cannot index zero vectors")
-        self.routes = (
-            np.zeros(len(self.ids), dtype=np.int32)
-            if route_ids is None
-            else np.asarray(route_ids, dtype=np.int32)
-        )
         self.tables = tables
         self.hash_bits = hash_bits
         self.seed = seed
@@ -309,10 +310,9 @@ class LshIndex:
             raise ValueError(f"cp_dim must be in [1, {self.d_padded}], got {cp_dim}")
 
         n_fns = tables * hash_bits
-        rng = np.random.default_rng((seed, 0x51))
-        signs = rng.integers(0, 2, size=(n_fns, 3, self.d_padded)).astype(np.float64) * 2.0 - 1.0
-        rng2 = np.random.default_rng((seed, 0x52))
-        self.mults = rng2.integers(1, 2**63, size=(tables, hash_bits), dtype=np.uint64) | _U64(1)
+        signs = _signs(seed, n_fns, self.d_padded)
+        rng = np.random.default_rng((seed, 0x52))
+        self.mults = rng.integers(1, 2**63, size=(tables, hash_bits), dtype=np.uint64) | _U64(1)
         self.scale = self.d_padded**-1.5
         self.proj = np.empty((self.dim_in, n_fns * self.cp_dim))
         for f0, f1 in self._fn_blocks(self.d_padded):
@@ -370,8 +370,11 @@ class LshIndex:
         """(n, probes) probe keys plus validity mask, best-first by margin sum.
 
         Probe 0 is the base bucket; later probes substitute runner-up codes
-        for the smallest-margin functions. The order is exact: closed form
-        covers probes <= 4, a per-row subset heap handles larger counts.
+        for a subset of the functions, in ascending order of the subset's
+        margin sum. Ties go to the smaller bitmask over the functions' ranks
+        in a stable margin sort, so {0} < {1} < {0, 1} < {2}. The order is
+        exact: closed form covers probes <= 4, a per-row subset heap handles
+        larger counts.
         """
         n, t = margins.shape
         if probes <= 1:
@@ -404,22 +407,24 @@ class LshIndex:
         valid = np.zeros((n, probes), dtype=bool)
         for r in range(n):
             order = np.argsort(margins[r], kind="stable")
-            m = margins[r, order].astype(np.float64)
+            m = margins[r, order].astype(np.float64).tolist()
             keys[r, 0] = base[r]
             valid[r, 0] = True
             got = 1
-            # best-first over flip subsets: extend-with-next or replace-last
-            heap = [(m[0], (0,))]
+            # best-first over flip subsets (ranks ascending), each made once
+            # from its parent by extend-with-next or replace-last; both raise
+            # the (sum, bitmask) key, so pops come in exactly that order
+            heap = [(m[0], 1, (0,))]
             while heap and got < probes:
-                cost, subset = heapq.heappop(heap)
+                _, _, subset = heapq.heappop(heap)
                 # an array sum wraps mod 2**64 silently, as the closed form does
                 keys[r, got] = np.append(deltas[r, order[list(subset)]], base[r]).sum(dtype=np.uint64)
                 valid[r, got] = True
                 got += 1
                 last = subset[-1]
                 if last + 1 < t:
-                    heapq.heappush(heap, (cost + m[last + 1], subset + (last + 1,)))
-                    heapq.heappush(heap, (cost - m[last] + m[last + 1], subset[:-1] + (last + 1,)))
+                    for nxt in (subset + (last + 1,), subset[:-1] + (last + 1,)):
+                        heapq.heappush(heap, (math.fsum(m[i] for i in nxt), sum(1 << i for i in nxt), nxt))
         return keys, valid
 
     def query_batch(self, qmat, k: int, probes_per_table: int = 1, exclude_ids=None):
@@ -524,16 +529,14 @@ def _first_of_runs(*keys):
     return first
 
 
-def build_index(
-    vectors, tables: int, hash_bits: int, seed: int = 0, route_ids=None, cp_dim: int | None = None
-) -> LshIndex:
+def build_index(vectors, tables: int, hash_bits: int, seed: int = 0, cp_dim: int | None = None) -> LshIndex:
     """Build an index from (ride id, dense vector) pairs; deterministic under seed."""
     vectors = list(vectors)
     if not vectors:
         raise DegenerateInputError("cannot build an index over no vectors")
     ids = [v[0] for v in vectors]
     matrix = np.stack([np.asarray(v[1], dtype=np.float64) for v in vectors])
-    return LshIndex(ids, matrix, tables, hash_bits, seed, route_ids=route_ids, cp_dim=cp_dim)
+    return LshIndex(ids, matrix, tables, hash_bits, seed, cp_dim=cp_dim)
 
 
 def query(
@@ -572,7 +575,6 @@ def find_potential_matches(
     index_seed = _child_seed(cfg.seed, "index")
 
     entry_ids: list[int] = []
-    entry_routes: list[int] = []
     sparse_rows = []
     query_sparse: dict[int, dict] = {}
     degenerate: list[int] = []
@@ -585,10 +587,9 @@ def find_potential_matches(
             degenerate.append(ride.id)
             continue
         query_sparse[ride.id] = query_vector(sets[0])
-        for j, s in enumerate(sets):
+        for s in sets:
             if s:
                 entry_ids.append(ride.id)
-                entry_routes.append(j)
                 sparse_rows.append(preprocessing_vector(s))
 
     matches: dict[int, list[tuple[int, float]]] = {r.id: [] for r in rides}
@@ -602,15 +603,7 @@ def find_potential_matches(
         data = data - center
     data, _scale = normalize_dataset(data, cfg.max_norm)
     pmat = transform_P_batch(data, cfg.norm_terms)
-    index = LshIndex(
-        entry_ids,
-        pmat,
-        cfg.tables,
-        cfg.hash_bits,
-        index_seed,
-        route_ids=entry_routes,
-        cp_dim=cfg.cp_dim,
-    )
+    index = LshIndex(entry_ids, pmat, cfg.tables, cfg.hash_bits, index_seed, cp_dim=cfg.cp_dim)
 
     query_order = [r.id for r in rides if r.id in query_sparse]
     qrows = []

@@ -79,11 +79,12 @@ def _csr_graph(indptr, indices, weights) -> csr_matrix:
 
 
 def _sssp(indptr, indices, weights, source: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-source shortest paths on a CSR graph; returns (dist, pred).
+    """Single-source shortest paths on a CSR graph; returns (dist, pred_edge).
 
-    pred follows one tie rule: among the in-edges (u, v, w) of v with finite
-    dist[u] and dist[u] + w == dist[v], the predecessor is the u with the
-    smallest (dist[u], u), which is the tree a (distance, node)-ordered heap
+    pred_edge[v] is the CSR position of v's tree edge, under one tie rule:
+    among the in-edges (u, v, w) of v with finite dist[u] and
+    dist[u] + w == dist[v], the tree edge is the one with the smallest
+    (dist[u], u, position), which is the tree a (distance, node)-ordered heap
     Dijkstra builds. Weights must be positive; the source and unreachable
     nodes get -1.
     """
@@ -91,13 +92,14 @@ def _sssp(indptr, indices, weights, source: int) -> tuple[np.ndarray, np.ndarray
     dist = dijkstra(_csr_graph(indptr, indices, weights), directed=True, indices=source)
     tails = np.repeat(np.arange(n), np.diff(indptr))
     du = dist[tails]
-    tight = np.isfinite(du) & (du + weights == dist[indices])
-    u, v = tails[tight], indices[tight]
-    order = np.lexsort((u, du[tight], v))
+    tight = np.flatnonzero(np.isfinite(du) & (du + weights == dist[indices]))
+    v = indices[tight]
+    # positions ascend with the tail u, so they stand in for (u, position)
+    order = np.lexsort((tight, du[tight], v))
     heads, first = np.unique(v[order], return_index=True)
-    pred = np.full(n, -1, dtype=np.int64)
-    pred[heads] = u[order][first]
-    return dist, pred
+    pred_edge = np.full(n, -1, dtype=np.int64)
+    pred_edge[heads] = tight[order][first]
+    return dist, pred_edge
 
 
 class RoadNetwork:
@@ -283,36 +285,21 @@ def build_city_network(
     return net
 
 
-def _reconstruct(net: RoadNetwork, pred: np.ndarray, source: int, target: int) -> list[int]:
-    path = [target]
-    while path[-1] != source:
-        p = int(pred[path[-1]])
-        if p < 0:
+def _tree_route(net: RoadNetwork, pred_edge: np.ndarray, source: int, target: int):
+    """The tree path from source to target as (CSR edge positions, Route)."""
+    edges = []
+    node = target
+    while node != source:
+        e = int(pred_edge[node])
+        if e < 0:
             raise NoRouteError(f"no path from node {source} to node {target}")
-        path.append(p)
-    path.reverse()
-    return path
-
-
-def _route_from_nodes(net: RoadNetwork, nodes: list[int], durations_by_edge: dict) -> Route:
-    segs = [durations_by_edge[(nodes[i], nodes[i + 1])] for i in range(len(nodes) - 1)]
-    return Route(
-        points=[net.node_point(i) for i in nodes],
-        segment_durations=segs,
-        total_duration=math.fsum(segs),
-        nodes=list(nodes),
-    )
-
-
-def _edge_duration_map(net: RoadNetwork) -> dict:
-    dmap = getattr(net, "_edge_dmap", None)
-    if dmap is None:
-        dmap = {
-            (int(u), int(v)): float(d)
-            for u, v, d in zip(net.edge_u, net.edge_v, net.edge_duration)
-        }
-        net._edge_dmap = dmap
-    return dmap
+        edges.append(e)
+        node = int(net.edge_u[e])
+    edges = np.array(edges[::-1], dtype=np.int64)
+    nodes = [source] + net.edge_v[edges].tolist()
+    segs = net.edge_duration[edges].tolist()
+    points = [net.node_point(i) for i in nodes]
+    return edges, Route(points=points, segment_durations=segs, total_duration=math.fsum(segs), nodes=nodes)
 
 
 def route(net: RoadNetwork, origin: GeoPoint, dest: GeoPoint, alternates: int = 1) -> list[Route]:
@@ -329,30 +316,19 @@ def route(net: RoadNetwork, origin: GeoPoint, dest: GeoPoint, alternates: int = 
     t = net.nearest_node(dest)
     if s == t:
         return [Route(points=[net.node_point(s)], segment_durations=[], total_duration=0.0, nodes=[s])]
-    dist, pred = net.shortest_from(s)
-    if not np.isfinite(dist[t]):
-        raise NoRouteError(f"no path from node {s} to node {t}")
-    dmap = _edge_duration_map(net)
-    best = _route_from_nodes(net, _reconstruct(net, pred, s, t), dmap)
+    edges, best = _tree_route(net, net.shortest_from(s)[1], s, t)
     routes = [best]
     if alternates > 1:
         weights = net.edge_duration.copy()
-        edge_index = {(int(u), int(v)): e for e, (u, v) in enumerate(zip(net.edge_u, net.edge_v))}
-        seen_edge_sets = {frozenset(zip(best.nodes, best.nodes[1:]))}
-        last = best
+        seen_edge_sets = {frozenset(edges.tolist())}
         while len(routes) < alternates:
-            for a, b in zip(last.nodes, last.nodes[1:]):
-                weights[edge_index[(a, b)]] *= ALT_EDGE_PENALTY
-            dist_p, pred_p = _sssp(net.indptr, net.edge_v, weights, s)
-            if not np.isfinite(dist_p[t]):
-                break
-            cand = _route_from_nodes(net, _reconstruct(net, pred_p, s, t), dmap)
-            edge_set = frozenset(zip(cand.nodes, cand.nodes[1:]))
+            weights[edges] *= ALT_EDGE_PENALTY
+            edges, cand = _tree_route(net, _sssp(net.indptr, net.edge_v, weights, s)[1], s, t)
+            edge_set = frozenset(edges.tolist())
             if edge_set in seen_edge_sets or cand.total_duration > ALT_ACCEPT_RATIO * best.total_duration:
                 break
             seen_edge_sets.add(edge_set)
             routes.append(cand)
-            last = cand
     routes.sort(key=lambda r: r.total_duration)
     return routes
 

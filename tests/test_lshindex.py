@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -39,9 +40,9 @@ def _reference_query_batch(idx, qmat, k, probes, exclude_ids=None):
     results = []
     for qi in range(nq):
         s, e = bounds[qi], bounds[qi + 1]
-        cids, cscores, croutes = idx.ids[pos[s:e]], scores[s:e], idx.routes[pos[s:e]]
+        cids, cscores = idx.ids[pos[s:e]], scores[s:e]
         best: dict[int, float] = {}
-        for j in np.lexsort((croutes, -cscores, cids)):
+        for j in np.lexsort((-cscores, cids)):
             best.setdefault(int(cids[j]), float(cscores[j]))  # best route per ride id
         results.append(sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k])
     return results, distinct, raw
@@ -171,6 +172,18 @@ class TestProjectionHash:
                 assert np.array_equal(alt, 2 * rank[:, 1] + (y[rows, rank[:, 1]] < 0))
                 top2 = np.abs(y[rows, rank[:, 0]]) - np.abs(y[rows, rank[:, 1]])
                 assert np.allclose(margin, top2, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [12, 66, 130])
+    @pytest.mark.parametrize("cp_dim", [1, 2, 8, None])
+    def test_cp_hash_is_function_0_of_the_index(self, rng, dim, cp_dim):
+        x = rng.normal(size=(200, dim))
+        for seed in (0, 7, 2**40 + 3):
+            idx = LshIndex(np.arange(200), x, tables=3, hash_bits=4, seed=seed, cp_dim=cp_dim)
+            codes, alts, margins = idx._hash_all(x, want_probes=True)
+            code, alt, margin = CpHashFunction(dim, seed=seed, cp_dim=cp_dim).hash_batch(x)
+            assert np.array_equal(codes[:, 0, 0], code)
+            assert np.array_equal(alts[:, 0, 0], alt)
+            assert np.array_equal(margins[:, 0, 0], margin.astype(np.float32))
 
     def test_hashing_memory_bounded(self, rng):
         x = _unit_rows(rng, 1024, 66)
@@ -311,17 +324,67 @@ class TestQuery:
             assert batch[i] == query(idx, qs[i], k=5, probes_per_table=2)
 
 
+def _brute_force_probe_keys(base, deltas, margins, probes):
+    """Every flip subset of every row, sorted by (margin sum, bitmask over ranks)."""
+    n, t = margins.shape
+    keys = np.zeros((n, probes), dtype=np.uint64)
+    valid = np.zeros((n, probes), dtype=bool)
+    for r in range(n):
+        fns = np.argsort(margins[r], kind="stable")  # rank -> function
+        m = [float(margins[r, f]) for f in fns]
+        subsets = [[i for i in range(t) if mask >> i & 1] for mask in range(1, 2**t)]
+        subsets.sort(key=lambda ranks: (math.fsum(m[i] for i in ranks), sum(1 << i for i in ranks)))
+        keys[r, 0], valid[r, 0] = base[r], True
+        for p, ranks in enumerate(subsets[: probes - 1], start=1):
+            keys[r, p] = (int(base[r]) + sum(int(deltas[r, fns[i]]) for i in ranks)) % 2**64
+            valid[r, p] = True
+    return keys, valid
+
+
+class TestProbeOrder:
+    """Both multi-probe paths follow one order: brute-force subset enumeration."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        t=st.integers(1, 6),
+        n=st.integers(1, 3),
+        probes=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_matches_brute_force(self, t, n, probes, data):
+        margin = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 2.0, width=32)
+        u64 = st.integers(0, 2**64 - 1)
+        margins = np.array(data.draw(st.lists(st.lists(margin, min_size=t, max_size=t), min_size=n,
+                                              max_size=n)), dtype=np.float32)
+        deltas = np.array(data.draw(st.lists(st.lists(u64, min_size=t, max_size=t), min_size=n,
+                                             max_size=n)), dtype=np.uint64)
+        base = np.array(data.draw(st.lists(u64, min_size=n, max_size=n)), dtype=np.uint64)
+        keys, valid = LshIndex._probe_keys(base, deltas, margins, probes)
+        want_keys, want_valid = _brute_force_probe_keys(base, deltas, margins, probes)
+        assert np.array_equal(valid, want_valid)
+        assert np.array_equal(keys, want_keys)
+
+    def test_zero_margin_tie(self):
+        # {1} and {0, 1} both sum to 0.5: the smaller bitmask, {1}, comes first
+        margins = np.array([[0.0, 0.5, 0.7, 0.9, 1.0]], dtype=np.float32)
+        deltas = (np.uint64(1) << np.arange(5, dtype=np.uint64))[None, :]
+        base = np.zeros(1, dtype=np.uint64)
+        k4, _ = LshIndex._probe_keys(base, deltas, margins, 4)
+        k5, _ = LshIndex._probe_keys(base, deltas, margins, 5)
+        assert k4[0].tolist() == [0, 0b1, 0b10, 0b11]
+        assert k5[0].tolist() == [0, 0b1, 0b10, 0b11, 0b100]
+
+
 @st.composite
 def _index_and_queries(draw):
     dim = draw(st.integers(2, 9))
     vec = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
     pool = draw(st.lists(vec, min_size=1, max_size=5))  # shared rows give equal scores
     ride_ids = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=8, unique=True))
-    ids, routes, rows = [], [], []
+    ids, rows = [], []
     for rid in ride_ids:
-        for route in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 3))):  # routes of the ride
             ids.append(rid)
-            routes.append(route)
             rows.append(draw(st.sampled_from(pool)))
     queries = draw(st.lists(st.one_of(st.sampled_from(pool), vec), min_size=1, max_size=6))
     exclude = draw(st.none() | st.lists(st.sampled_from(ride_ids + [999]), min_size=len(queries),
@@ -330,7 +393,7 @@ def _index_and_queries(draw):
     hash_bits = draw(st.integers(1, 3))
     cp_dim = draw(st.integers(1, 2 ** (dim - 1).bit_length()))  # up to the padded width
     seed = draw(st.integers(0, 2**32))
-    idx = LshIndex(ids, np.array(rows, dtype=float) / 2, tables, hash_bits, seed, routes, cp_dim)
+    idx = LshIndex(ids, np.array(rows, dtype=float) / 2, tables, hash_bits, seed, cp_dim)
     excl = None if exclude is None else np.array(exclude, dtype=np.int64)
     return idx, np.array(queries, dtype=float) / 2, excl
 
@@ -349,7 +412,7 @@ class TestRanking:
         ids = np.repeat(np.arange(300), 2)
         rows = _unit_rows(rng, 600, 10)
         rows[1::4] = rows[0::4]  # both routes of every other ride tie
-        idx = LshIndex(ids, rows, tables=6, hash_bits=3, seed=2, route_ids=np.tile([0, 1], 300))
+        idx = LshIndex(ids, rows, tables=6, hash_bits=3, seed=2)
         nq = LshIndex._QUERY_CHUNK + 77
         qmat = _unit_rows(rng, nq, 10)
         excl = rng.integers(0, 300, size=nq)

@@ -41,10 +41,10 @@ def brute_force_shortest(net, s, t):
 
 
 def reference_sssp(indptr, indices, weights, source):
-    """Heap Dijkstra with pops ordered by (distance, node); defines the pred tie rule."""
+    """Heap Dijkstra with pops ordered by (distance, node); defines the tree-edge tie rule."""
     n = len(indptr) - 1
     dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
+    pred_edge = np.full(n, -1, dtype=np.int64)
     dist[source] = 0.0
     heap = [(0.0, source)]
     done = np.zeros(n, dtype=bool)
@@ -58,9 +58,9 @@ def reference_sssp(indptr, indices, weights, source):
             nd = d + weights[e]
             if nd < dist[v]:
                 dist[v] = nd
-                pred[v] = u
+                pred_edge[v] = e
                 heapq.heappush(heap, (nd, v))
-    return dist, pred
+    return dist, pred_edge
 
 
 def random_int_digraph(rng, n):
@@ -77,31 +77,46 @@ def random_int_digraph(rng, n):
     return indptr, indices, weights
 
 
+def _two_node_data(edges):
+    """Network dict of nodes 0 and 1 with the given (u, v, duration_s) edges."""
+    return {
+        "nodes": [{"id": 0, "lat": 0.0, "lon": 0.0}, {"id": 1, "lat": 0.0, "lon": 0.01}],
+        "edges": [{"u": u, "v": v, "duration_s": d, "length_m": 1000.0} for u, v, d in edges],
+    }
+
+
 class TestSssp:
     def test_small_graph(self):
         # 0 -> 1 (1.0), 0 -> 2 (4.0), 1 -> 2 (1.5), 1 -> 3 (5.0), 2 -> 3 (1.0)
         indptr = np.array([0, 2, 4, 5, 5], dtype=np.int64)
         indices = np.array([1, 2, 2, 3, 3], dtype=np.int64)
         weights = np.array([1.0, 4.0, 1.5, 5.0, 1.0])
-        dist, pred = _sssp(indptr, indices, weights, 0)
+        dist, pred_edge = _sssp(indptr, indices, weights, 0)
         assert np.allclose(dist, [0.0, 1.0, 2.5, 3.5])
-        assert pred.tolist() == [-1, 0, 1, 2]
+        assert pred_edge.tolist() == [-1, 0, 2, 4]
 
     def test_pred_tie_rule_matches_reference_heap(self):
         grid = build_grid_network(12, 12)
         unit = (grid.indptr, grid.edge_v, np.ones(len(grid.edge_v)))  # every path ties
         rng = np.random.default_rng(7)
         graphs = [unit] + [random_int_digraph(rng, 30) for _ in range(20)]
-        unreachable = no_neighbour_source = 0
+        unreachable = no_neighbour_source = tight_parallel = 0
         for g in graphs:
-            for s in range(len(g[0]) - 1):
-                dist, pred = _sssp(*g, s)
-                ref_dist, ref_pred = reference_sssp(*g, s)
+            indptr, indices, weights = g
+            tails = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+            for s in range(len(indptr) - 1):
+                dist, pred_edge = _sssp(*g, s)
+                ref_dist, ref_pred_edge = reference_sssp(*g, s)
                 assert np.array_equal(dist, ref_dist)
-                assert np.array_equal(pred, ref_pred)
+                assert np.array_equal(pred_edge, ref_pred_edge)
                 unreachable += int(np.isinf(dist).sum())
                 no_neighbour_source += int(np.isfinite(dist).sum() == 1)
-        assert unreachable > 0 and no_neighbour_source > 0
+                # tree edges with an equally tight parallel edge right after them
+                e = pred_edge[pred_edge >= 0]
+                e = e[e + 1 < len(indices)]
+                tight_parallel += int(np.sum((tails[e + 1] == tails[e]) & (indices[e + 1] == indices[e])
+                                             & (weights[e + 1] == weights[e])))
+        assert unreachable > 0 and no_neighbour_source > 0 and tight_parallel > 0
 
 
 class TestGridNetwork:
@@ -168,6 +183,22 @@ class TestRoute:
                 zip(routes[1].nodes, routes[1].nodes[1:])
             )
             assert routes[0].total_duration <= routes[1].total_duration
+
+    def test_parallel_edges_route_on_the_shortest(self):
+        # two edges 0 -> 1 of 3 s and 5 s; the route must take the 3 s one
+        net = RoadNetwork.from_dict(_two_node_data([(0, 1, 3.0), (0, 1, 5.0), (1, 0, 4.0)]))
+        best = route(net, net.node_point(0), net.node_point(1))[0]
+        assert best.total_duration == net.shortest_from(0)[0][1] == 3.0
+        assert best.nodes == [0, 1] and best.segment_durations == [3.0]
+
+    def test_alternate_takes_the_other_parallel_edge(self):
+        # penalized 3 s -> 4.5 s, so the 3.5 s parallel edge is the alternate:
+        # same nodes, a different edge set, within ALT_ACCEPT_RATIO. Then
+        # 3.5 s -> 5.25 s brings back the 3 s edge, a repeat, which ends it.
+        net = RoadNetwork.from_dict(_two_node_data([(0, 1, 3.0), (0, 1, 3.5), (0, 1, 9.0)]))
+        routes = route(net, net.node_point(0), net.node_point(1), alternates=3)
+        assert [r.segment_durations for r in routes] == [[3.0], [3.5]]
+        assert [r.nodes for r in routes] == [[0, 1], [0, 1]]
 
     def test_route_invariants(self, grid5):
         r = route(grid5, grid5.node_point(0), grid5.node_point(24))[0]
