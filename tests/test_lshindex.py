@@ -11,6 +11,8 @@ from ridematch.lshindex import (
     CpHashFunction,
     LshConfig,
     LshIndex,
+    _rotate3,
+    _top2_abs,
     build_index,
     cp_hash,
     find_potential_matches,
@@ -114,6 +116,29 @@ class TestCpHash:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             cp_hash(CpHashFunction(8, seed=0), np.zeros(8))
+
+    # the private pseudo-rotation and top-2 helpers behind hash_batch
+    def test_rotate3_is_orthogonal(self, rng):
+        d = 64
+        signs = rng.integers(0, 2, size=(3, d)).astype(np.float64) * 2 - 1
+        m = np.eye(d)
+        _rotate3(m, signs)
+        gram = m @ m.T
+        assert np.max(np.abs(gram - np.eye(d))) < 1e-12
+
+    def test_rotate3_preserves_norm(self, rng):
+        d = 128
+        signs = rng.integers(0, 2, size=(3, d)).astype(np.float64) * 2 - 1
+        x = rng.normal(size=(10, d))
+        norms = np.linalg.norm(x, axis=1)
+        _rotate3(x, signs)
+        assert np.allclose(np.linalg.norm(x, axis=1), norms, atol=1e-10)
+
+    def test_top2_tie_goes_to_lowest_index(self):
+        c1, c2, m = _top2_abs(np.array([[1.0, -1.0, 0.5]]))
+        assert c1[0] == 0  # index 0, positive
+        assert c2[0] == 3  # index 1, negative
+        assert m[0] == 0.0
 
     def test_range(self, rng):
         h = CpHashFunction(10, seed=2, cp_dim=4)

@@ -1,12 +1,18 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ridematch.network as network
 from ridematch.baselines import closeby
 from ridematch.network import (
     MatchingResult,
     ShareabilityNetwork,
+    _blossom,
+    _certify,
     build_network,
     dump_network_csv,
     greedy_matching,
@@ -33,6 +39,24 @@ def brute_force_matching(nodes, edges):
 
     rec(0, set(), 0.0)
     return best
+
+
+def networkx_matching_total(nodes, edges):
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_weighted_edges_from(edges)
+    return sum(graph[u][v]["weight"] for u, v in nx.max_weight_matching(graph))
+
+
+@st.composite
+def tied_graphs(draw):
+    """Graphs of 2-10 rides with weights from {1, 2, 3}, so tied optima are common."""
+    n = draw(st.integers(2, 10))
+    ids = sorted(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)))
+    slots = list(itertools.combinations(range(n), 2))
+    ws = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=len(slots), max_size=len(slots)))
+    edges = [(ids[i], ids[j], w) for (i, j), w in zip(slots, ws) if w > 0.0]
+    return ids, edges
 
 
 class TestBuildNetwork:
@@ -137,6 +161,103 @@ class TestMaxWeightMatching:
             ]
             g = ShareabilityNetwork(nodes=list(range(n)), edges=edges)
             assert greedy_matching(g).total_utility <= max_weight_matching(g).total_utility + 1e-12
+
+
+class TestOwnedSolver:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_graphs())
+    def test_total_equals_brute_force_and_networkx(self, graph):
+        ids, edges = graph
+        res = max_weight_matching(ShareabilityNetwork(nodes=ids, edges=edges))
+        assert res.total_utility == pytest.approx(brute_force_matching(ids, edges), abs=1e-9)
+        assert res.total_utility == pytest.approx(networkx_matching_total(ids, edges), abs=1e-9)
+        weight = {(u, v): w for u, v, w in edges}
+        flat = [x for p in res.pairs for x in p]
+        assert len(flat) == len(set(flat))
+        assert res.pairs == sorted(res.pairs)
+        assert res.total_utility == float(sum(weight[p] for p in res.pairs))
+        assert res.unmatched == sorted(set(ids) - set(flat))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_graphs())
+    def test_dual_certificate(self, graph):
+        ids, edges = graph
+        if not edges:
+            return
+        pos = {x: i for i, x in enumerate(ids)}
+        eu = [pos[u] for u, _, _ in edges]
+        ev = [pos[v] for _, v, _ in edges]
+        ew = [w for _, _, w in edges]
+        n = len(ids)
+        matched, u, blossoms = _blossom(n, eu, ev, ew)
+        _certify(eu, ev, ew, matched, u, blossoms)
+        assert sum(ew[k] for k in matched) == pytest.approx(
+            sum(u) + sum(z * (len(b) - 1) / 2 for b, z in blossoms), abs=1e-9
+        )
+        # each perturbation below breaks one condition that the checker must catch
+        for k in matched[:1]:
+            loose = list(u)
+            loose[eu[k]] += 1.0  # all slacks stay >= 0, but matched edge k is no longer tight
+            with pytest.raises(AssertionError, match="matched edge"):
+                _certify(eu, ev, ew, matched, loose, blossoms)
+        with pytest.raises(AssertionError, match="negative slack"):
+            _certify(eu, ev, [x + 10.0 for x in ew], matched, u, blossoms)
+        free = [x for x in range(n) if all(x not in (eu[k], ev[k]) for k in matched)]
+        for x in free[:1]:
+            raised = list(u)
+            raised[x] += 1.0
+            with pytest.raises(AssertionError, match="unmatched vertex"):
+                _certify(eu, ev, ew, matched, raised, blossoms)
+        for i in [i for i, (_, z) in enumerate(blossoms) if z > 0.0][:1]:
+            negative = list(blossoms)
+            negative[i] = (blossoms[i][0], -1.0)
+            with pytest.raises(AssertionError, match="dual is negative"):
+                _certify(eu, ev, ew, matched, u, negative)
+        if matched:
+            with pytest.raises(AssertionError, match="matched twice"):
+                _certify(eu, ev, ew, matched + matched[:1], u, blossoms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_graphs(), st.randoms(use_true_random=False))
+    def test_independent_of_node_and_edge_order(self, graph, rnd):
+        ids, edges = graph
+        want = max_weight_matching(ShareabilityNetwork(nodes=ids, edges=edges))
+        nodes = list(ids)
+        shuffled = [(v, u, w) if rnd.random() < 0.5 else (u, v, w) for u, v, w in edges]
+        rnd.shuffle(nodes)
+        rnd.shuffle(shuffled)
+        assert max_weight_matching(ShareabilityNetwork(nodes=nodes, edges=shuffled)) == want
+
+    def test_components_and_isolated_nodes(self, monkeypatch):
+        edges = [
+            (10, 11, 3.0), (11, 12, 2.0), (10, 12, 1.0),  # triangle
+            (5, 20, 1.0), (20, 30, 5.0), (30, 40, 1.0),  # path
+            (1, 50, 2.0),  # single edge
+        ]
+        sizes = []
+        solve = network._blossom
+
+        def spy(n, eu, ev, ew):
+            sizes.append(n)
+            return solve(n, eu, ev, ew)
+
+        monkeypatch.setattr(network, "_blossom", spy)
+        g = ShareabilityNetwork(nodes=[99, 40, 7, 30, 20, 5, 12, 11, 10, 50, 1], edges=edges)
+        res = max_weight_matching(g)
+        assert res.pairs == [(1, 50), (10, 11), (20, 30)]
+        assert res.total_utility == 10.0
+        assert res.unmatched == [5, 7, 12, 40, 99]
+        # one solve per component, by lowest ride id; isolated rides 7 and 99 get none
+        assert sizes == [2, 4, 3]
+
+    def test_duplicate_pair_keeps_larger_weight(self):
+        g = ShareabilityNetwork(nodes=[1, 2, 3], edges=[(1, 2, 4.0), (2, 3, 3.0), (1, 2, 2.0)])
+        res = max_weight_matching(g)
+        assert (res.pairs, res.total_utility) == ([(1, 2)], 4.0)
+
+    def test_no_edges(self):
+        res = max_weight_matching(ShareabilityNetwork(nodes=[3, 1, 2], edges=[]))
+        assert (res.pairs, res.total_utility, res.unmatched) == ([], 0.0, [1, 2, 3])
 
 
 class TestOptimalUtility:
