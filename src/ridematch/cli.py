@@ -58,19 +58,34 @@ _NUMERIC_FIELDS = {
     "seed": (int, None, None),
 }
 
-# Accepted keys of the "lsh" config section -> the LshConfig field each sets.
-_LSH_KEYS = {
-    "tables": "tables",
-    "hash_bits": "hash_bits",
-    "probes": "probes",
-    "dim": "dim",
-    "cp_dim": "cp_dim",
-    "m": "norm_terms",
-    "U": "max_norm",
-    "seed": "seed",
-    "k": "k",
-    "center": "center",
+# Accepted keys of the "lsh" config section -> (the LshConfig field each sets,
+# accepted types, valid-range check, what the range is). cp_dim's upper bound
+# depends on dim and m, so from_dict checks it apart.
+_LSH_FIELDS = {
+    "tables": ("tables", int, lambda v: v >= 1, ">= 1"),
+    "hash_bits": ("hash_bits", int, lambda v: v >= 1, ">= 1"),
+    "probes": ("probes", int, lambda v: v >= 1, ">= 1"),
+    "dim": ("dim", int, lambda v: v >= 2 and v & (v - 1) == 0, "a power of two >= 2"),
+    "cp_dim": ("cp_dim", int, lambda v: v >= 1, ">= 1"),
+    "m": ("norm_terms", int, lambda v: v >= 1, ">= 1"),
+    "U": ("max_norm", (int, float), lambda v: 0 < v < 1, "in (0, 1)"),
+    "seed": ("seed", int, None, None),
+    "k": ("k", int, lambda v: v >= 1, ">= 1"),
+    "center": ("center", bool, None, None),
 }
+# lsh.dim when the config does not set it
+_LSH_DEFAULT_DIM = 128
+
+
+def _value_errors(name: str, value, types, in_range, range_text) -> list[str]:
+    """The config error of one value, if any. A bool passes only where bool
+    is the type asked for."""
+    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
+        kind = {bool: "a boolean", int: "an integer"}.get(types, "a number")
+        return [f"{name} must be {kind}, got {value!r}"]
+    if in_range is not None and not in_range(value):
+        return [f"{name} must be {range_text}, got {value}"]
+    return []
 
 
 class ConfigError(ValueError):
@@ -117,22 +132,15 @@ class ExperimentConfig:
         for ld in cfg.loads:
             if not isinstance(ld, (int, float)) or not 0.0 < ld <= 1.0:
                 errors.append(f"load {ld!r} outside (0, 1]")
-        for name, (types, in_range, range_text) in _NUMERIC_FIELDS.items():
-            value = getattr(cfg, name)
-            if isinstance(value, bool) or not isinstance(value, types):
-                kind = "an integer" if types is int else "a number"
-                errors.append(f"{name} must be {kind}, got {value!r}")
-            elif in_range is not None and not in_range(value):
-                errors.append(f"{name} must be {range_text}, got {value}")
+        for name, spec in _NUMERIC_FIELDS.items():
+            errors += _value_errors(name, getattr(cfg, name), *spec)
         for a in cfg.approaches:
             if a not in APPROACHES:
                 errors.append(f"unknown approach {a!r} (choose from {', '.join(APPROACHES)})")
         if not isinstance(cfg.lsh, dict):
             errors.append(f"lsh must be an object, got {cfg.lsh!r}")
         else:
-            for key in cfg.lsh:
-                if key not in _LSH_KEYS:
-                    errors.append(f"unknown lsh key {key!r} (choose from {', '.join(_LSH_KEYS)})")
+            errors += _lsh_errors(cfg.lsh)
         if cfg.timing not in ("wall", "none"):
             errors.append(f"timing must be 'wall' or 'none', got {cfg.timing!r}")
         if "json" not in cfg.network:
@@ -144,9 +152,31 @@ class ExperimentConfig:
         return cfg
 
     def lsh_config(self) -> LshConfig:
-        fields = {"dim": 128, "seed": _stage_seed(self.seed, "lsh"), "k": self.k}
-        fields.update((_LSH_KEYS[key], value) for key, value in self.lsh.items())
+        fields = {"dim": _LSH_DEFAULT_DIM, "seed": _stage_seed(self.seed, "lsh"), "k": self.k}
+        fields.update((_LSH_FIELDS[key][0], value) for key, value in self.lsh.items())
         return LshConfig(**fields)
+
+
+def _lsh_errors(lsh: dict) -> list[str]:
+    """Every error in the keys and values of the "lsh" config section."""
+    errors = []
+    bad = set()
+    for key, value in lsh.items():
+        if key not in _LSH_FIELDS:
+            errors.append(f"unknown lsh key {key!r} (choose from {', '.join(_LSH_FIELDS)})")
+            continue
+        errs = _value_errors(f"lsh.{key}", value, *_LSH_FIELDS[key][1:])
+        if errs:
+            errors += errs
+            bad.add(key)
+    if "cp_dim" in lsh and not bad & {"cp_dim", "dim", "m"}:
+        # the index hashes dim + m coordinates, zero-padded to a power of two
+        width = lsh.get("dim", _LSH_DEFAULT_DIM) + lsh.get("m", LshConfig.norm_terms)
+        top = 1 << (width - 1).bit_length()
+        cp_dim = lsh["cp_dim"]
+        if cp_dim > top:
+            errors.append(f"lsh.cp_dim must be in [1, {top}] (the padded width of dim + m), got {cp_dim}")
+    return errors
 
 
 @dataclass

@@ -263,9 +263,10 @@ class MatchSearchSummary:
 class LshIndex:
     """L amplified hash tables over stored data vectors, with exact re-scoring.
 
-    Immutable after construction. Tables are stored as (sorted unique keys,
-    bucket offsets, entry positions) triples, so lookups are searchsorted
-    probes rather than per-bucket dicts.
+    Immutable after construction. All tables share one flat store (sorted
+    unique bucket keys per table, each bucket's start and length in one array
+    of entry positions), so lookups are searchsorted probes rather than
+    per-bucket dicts, and one pass probes every table.
     """
 
     _QUERY_CHUNK = 1024
@@ -322,18 +323,30 @@ class LshIndex:
         codes, _, _ = self._hash_all(self.matrix, want_probes=False)
         # Entry positions in (ride id, position) order, and each entry's rank
         # in it: sorting candidates by rank puts a ride's routes side by side.
+        n = len(self.ids)
         self._by_ride = np.argsort(self.ids, kind="stable")
-        self._ride_rank = np.empty(len(self.ids), dtype=np.int64)
-        self._ride_rank[self._by_ride] = np.arange(len(self.ids))
-        self._stores = []
+        self._ride_rank = np.empty(n, dtype=np.int64)
+        self._ride_rank[self._by_ride] = np.arange(n)
+        # One flat store for all tables. Table tbl's sorted unique bucket keys
+        # are _bucket_keys[_table_offsets[tbl]:_table_offsets[tbl + 1]]; bucket
+        # b holds _entries[_bucket_starts[b]:][:_bucket_lens[b]], and table
+        # tbl's entries fill _entries[tbl * n:(tbl + 1) * n].
+        keys, starts, lens = [], [], []
+        self._entries = np.empty(tables * n, dtype=np.int64)
         for tbl in range(tables):
-            keys = self._mix(codes[:, tbl, :], tbl)
-            order = np.argsort(keys, kind="stable").astype(np.int64)
-            skeys = keys[order]
-            newgrp = np.concatenate([[True], skeys[1:] != skeys[:-1]])
-            uniq = skeys[newgrp]
-            offsets = np.concatenate([np.nonzero(newgrp)[0], [len(skeys)]]).astype(np.int64)
-            self._stores.append((uniq, offsets, order))
+            tkeys = self._mix(codes[:, tbl, :], tbl)
+            order = np.argsort(tkeys, kind="stable")
+            skeys = tkeys[order]
+            first = _first_of_runs(skeys)
+            bounds = np.append(np.flatnonzero(first), n)
+            keys.append(skeys[first])
+            starts.append(bounds[:-1] + tbl * n)
+            lens.append(np.diff(bounds))
+            self._entries[tbl * n : (tbl + 1) * n] = order
+        self._bucket_keys = np.concatenate(keys)
+        self._bucket_starts = np.concatenate(starts)
+        self._bucket_lens = np.concatenate(lens)
+        self._table_offsets = np.append(0, np.cumsum([len(k) for k in keys]))
 
     def _fn_blocks(self, n_rows: int):
         """(first, end) function ranges of at most _HASH_BLOCK values over n_rows rows."""
@@ -451,39 +464,38 @@ class LshIndex:
     def _candidates(self, qmat, probes):
         """Every (query row, entry position) retrieved, repeats included.
 
+        All tables are probed in one pass: the probe keys of every (query,
+        table) row come from one _probe_keys call, and only the searchsorted
+        into each table's slice of the flat store runs per table.
         Returns (query rows, entry positions, raw retrieved count per query).
         """
         nq = qmat.shape[0]
         codes, alts, margins = self._hash_all(qmat, want_probes=True)
-        raw_counts = np.zeros(nq, dtype=np.int64)
-        all_q, all_pos = [], []
-        for tbl in range(self.tables):
-            uniq, offsets, entry_pos = self._stores[tbl]
-            v = codes[:, tbl, :].astype(np.uint64) * self.mults[tbl][None, :]
-            a = alts[:, tbl, :].astype(np.uint64) * self.mults[tbl][None, :]
-            base = v.sum(axis=1, dtype=np.uint64)
-            deltas = a - v
-            pkeys, pvalid = self._probe_keys(base, deltas, margins[:, tbl, :], probes)
-            n_probe = pkeys.shape[1]
-            flat = pkeys.ravel()
-            idx = np.searchsorted(uniq, flat)
-            idxc = np.minimum(idx, len(uniq) - 1)
-            hit = (uniq[idxc] == flat) & pvalid.ravel()
-            starts = np.where(hit, offsets[idxc], 0)
-            lens = np.where(hit, offsets[idxc + 1] - offsets[idxc], 0)
-            total = int(lens.sum())
-            if total == 0:
-                continue
-            q_of_flat = np.repeat(np.arange(nq), n_probe)
-            np.add.at(raw_counts, q_of_flat, lens)
-            cum = np.cumsum(lens)
-            flat_idx = np.arange(total) + np.repeat(starts - np.concatenate([[0], cum[:-1]]), lens)
-            all_pos.append(entry_pos[flat_idx])
-            all_q.append(np.repeat(q_of_flat, lens))
-        if not all_pos:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, raw_counts
-        return np.concatenate(all_q), np.concatenate(all_pos), raw_counts
+        v = codes.astype(np.uint64) * self.mults
+        deltas = alts.astype(np.uint64) * self.mults - v
+        rows = nq * self.tables
+        pkeys, pvalid = self._probe_keys(
+            v.sum(axis=2, dtype=np.uint64).reshape(rows),
+            deltas.reshape(rows, self.hash_bits),
+            margins.reshape(rows, self.hash_bits),
+            probes,
+        )
+        pkeys = pkeys.reshape(nq, self.tables, -1)
+        bucket = np.empty(pkeys.shape, dtype=np.int64)
+        offs = self._table_offsets
+        for tbl, (lo, hi) in enumerate(zip(offs[:-1].tolist(), offs[1:].tolist())):
+            bucket[:, tbl] = self._bucket_keys[lo:hi].searchsorted(pkeys[:, tbl])
+        # a key past the end of its table's slice is a miss: clamp to the
+        # table's last bucket, whose key then differs
+        bucket = np.minimum(bucket, (offs[1:] - offs[:-1] - 1)[:, None]) + offs[:-1, None]
+        hit = (self._bucket_keys[bucket] == pkeys) & pvalid.reshape(pkeys.shape)
+        hit_q = np.nonzero(hit)[0]
+        bucket = bucket[hit]
+        lens = self._bucket_lens[bucket]
+        q = np.repeat(hit_q, lens)
+        ends = np.cumsum(lens)
+        slots = np.arange(len(q)) + np.repeat(self._bucket_starts[bucket] - (ends - lens), lens)
+        return q, self._entries[slots], np.bincount(q, minlength=nq)
 
     def _query_chunk(self, qmat, k, probes, exclude_ids):
         nq = qmat.shape[0]
@@ -564,14 +576,16 @@ def find_potential_matches(
     """End-to-end search: top-k potential co-riders for every ride.
 
     Pipeline: space-time edge sets -> data/query sparse vectors -> feature
-    hashing -> global data-norm scaling -> asymmetric transforms -> index
-    build -> per-ride multi-probe query. Rides whose route collapses to an
-    empty edge set (or hashes to a zero query) get an empty match list and
-    are flagged in the summary.
+    hashing (each distinct edge key hashed once per call) -> global data-norm
+    scaling -> asymmetric transforms -> index build -> per-ride multi-probe
+    query. Rides whose route collapses to an empty edge set (or hashes to a
+    zero query) get an empty match list and are flagged in the summary.
     """
     rides = list(rides)
     cfg = cfg or LshConfig()
     fh_seed = _child_seed(cfg.seed, "feature-hash")
+    # every key is a SpaceTimeEdge, and a ride's data and query rows share keys
+    fh_memo: dict = {}
     index_seed = _child_seed(cfg.seed, "index")
 
     entry_ids: list[int] = []
@@ -597,7 +611,7 @@ def find_potential_matches(
         empty = np.zeros(0, dtype=np.int64)
         return matches, MatchSearchSummary(len(rides), 0, sorted(degenerate), empty, empty)
 
-    data = np.stack([feature_hash(v, cfg.dim, fh_seed) for v in sparse_rows])
+    data = np.stack([feature_hash(v, cfg.dim, fh_seed, fh_memo) for v in sparse_rows])
     center = data.mean(axis=0) if cfg.center else None
     if center is not None:
         data = data - center
@@ -608,7 +622,7 @@ def find_potential_matches(
     query_order = [r.id for r in rides if r.id in query_sparse]
     qrows = []
     for rid in query_order:
-        qv = feature_hash(query_sparse[rid], cfg.dim, fh_seed)
+        qv = feature_hash(query_sparse[rid], cfg.dim, fh_seed, fh_memo)
         if center is not None:
             qv = qv - center
         try:

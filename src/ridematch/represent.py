@@ -104,21 +104,27 @@ def _key_bytes(key) -> bytes:
     return repr(key).encode()
 
 
-def feature_hash(v: SparseVector, d: int, seed: int = 0) -> np.ndarray:
+def feature_hash(v: SparseVector, d: int, seed: int = 0, memo: dict | None = None) -> np.ndarray:
     """Signed feature hashing into d dimensions (d a power of two).
 
     Each key is mapped by a seeded hash to an (index, sign) pair and
     magnitudes accumulate, so inner products are unbiased over seeds.
+    memo, a dict from key to (index, sign), lets calls with the same d and
+    seed hash each key once. Its keys must not mix types whose values compare
+    equal: a SpaceTimeEdge equals the plain tuple of its fields, but the two
+    hash by their different reprs.
     """
     if d < 2 or d & (d - 1):
         raise ValueError(f"d must be a power of two >= 2, got {d}")
     out = np.zeros(d)
     skey = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    slots = {} if memo is None else memo
     for key, mag in v.items():
-        h = int.from_bytes(blake2b(_key_bytes(key), digest_size=8, key=skey).digest(), "big")
-        idx = (h >> 1) % d
-        sign = 1.0 - 2.0 * (h & 1)
-        out[idx] += sign * mag
+        slot = slots.get(key)
+        if slot is None:
+            h = int.from_bytes(blake2b(_key_bytes(key), digest_size=8, key=skey).digest(), "big")
+            slot = slots[key] = ((h >> 1) % d, 1.0 - 2.0 * (h & 1))
+        out[slot[0]] += slot[1] * mag
     return out
 
 

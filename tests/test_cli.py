@@ -216,6 +216,35 @@ class TestMain:
         cfg_path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "config error: unknown lsh key 'tabels'" in capsys.readouterr().err
+        for key, value, message in (
+            ("probes", 0, "lsh.probes must be >= 1, got 0"),
+            ("hash_bits", 0, "lsh.hash_bits must be >= 1, got 0"),
+            ("cp_dim", 0, "lsh.cp_dim must be >= 1, got 0"),
+            ("cp_dim", 129, "lsh.cp_dim must be in [1, 128] (the padded width of dim + m), got 129"),
+            ("dim", 60, "lsh.dim must be a power of two >= 2, got 60"),
+            ("tables", "4", "lsh.tables must be an integer, got '4'"),
+            ("m", 0, "lsh.m must be >= 1, got 0"),
+            ("k", True, "lsh.k must be an integer, got True"),
+            ("U", 1.0, "lsh.U must be in (0, 1), got 1.0"),
+            ("seed", 1.5, "lsh.seed must be an integer, got 1.5"),
+            ("center", 1, "lsh.center must be a boolean, got 1"),
+        ):
+            raw = json.loads((DATA / "fixture_config.json").read_text())
+            raw["lsh"][key] = value
+            cfg_path.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(cfg_path)]) == 2
+            assert f"config error: {message}" in capsys.readouterr().err
+        # every error at once; cp_dim's bound is not judged against a bad dim
+        raw = json.loads((DATA / "fixture_config.json").read_text())
+        raw["lsh"].update({"probes": 0, "dim": 60, "cp_dim": 500, "center": "yes"})
+        raw["k"] = 0
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        for message in ("k must be >= 1, got 0", "lsh.probes must be >= 1, got 0",
+                        "lsh.dim must be a power of two >= 2, got 60", "lsh.center must be a boolean, got 'yes'"):
+            assert message in err
+        assert "lsh.cp_dim" not in err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2

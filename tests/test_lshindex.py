@@ -27,10 +27,43 @@ def _unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def _reference_query_batch(idx, qmat, k, probes, exclude_ids=None):
-    """query_batch as a per-query dict/sorted loop over the same candidates."""
+def _reference_candidates(idx, qmat, probes):
+    """Retrieval as a dict from bucket key to entries per table, keys mixed
+    with Python integers, probe keys from one _probe_keys call per table.
+
+    Returns (query rows, entry positions, raw retrieved count per query).
+    """
     nq = qmat.shape[0]
-    qidx, pos, raw = idx._candidates(qmat, probes)
+    codes, _, _ = idx._hash_all(idx.matrix, want_probes=False)
+    qcodes, qalts, qmargins = idx._hash_all(qmat, want_probes=True)
+    qidx, pos, raw = [], [], np.zeros(nq, dtype=np.int64)
+    for tbl in range(idx.tables):
+        mults = [int(m) for m in idx.mults[tbl]]
+
+        def mix(row):
+            return sum(int(c) * m for c, m in zip(row, mults)) % 2**64
+
+        buckets: dict[int, list[int]] = {}
+        for p in range(len(idx.ids)):
+            buckets.setdefault(mix(codes[p, tbl]), []).append(p)
+        base = np.array([mix(qcodes[q, tbl]) for q in range(nq)], dtype=np.uint64)
+        deltas = np.array([[(int(a) - int(c)) * m % 2**64
+                            for a, c, m in zip(qalts[q, tbl], qcodes[q, tbl], mults)] for q in range(nq)],
+                          dtype=np.uint64)
+        keys, valid = LshIndex._probe_keys(base, deltas, qmargins[:, tbl, :], probes)
+        for q in range(nq):
+            for key in keys[q][valid[q]].tolist():
+                hits = buckets.get(key, [])
+                raw[q] += len(hits)
+                qidx += [q] * len(hits)
+                pos += hits
+    return np.array(qidx, dtype=np.int64), np.array(pos, dtype=np.int64), raw
+
+
+def _reference_query_batch(idx, qmat, k, probes, exclude_ids=None):
+    """query_batch as a per-query dict/sorted loop over its own retrieval."""
+    nq = qmat.shape[0]
+    qidx, pos, raw = _reference_candidates(idx, qmat, probes)
     if exclude_ids is not None:
         keep = idx.ids[pos] != exclude_ids[qidx]
         pos, qidx = pos[keep], qidx[keep]
@@ -247,21 +280,41 @@ class TestSuggestParams:
             suggest_params(100, 0, 0.1, 0.5)
 
 
+def _table_stores(idx):
+    """Per table of the flat store: (sorted unique bucket keys, bucket lengths,
+    entry positions)."""
+    n, offs = len(idx.ids), idx._table_offsets
+    for tbl in range(idx.tables):
+        b = slice(offs[tbl], offs[tbl + 1])
+        yield idx._bucket_keys[b], idx._bucket_lens[b], idx._entries[tbl * n : (tbl + 1) * n]
+
+
 class TestBuildIndex:
     def test_single_vector_in_all_tables(self, rng):
         v = _unit_rows(rng, 1, 10)[0]
         idx = build_index([(7, v)], tables=3, hash_bits=2, seed=0)
-        total_buckets = sum(len(store[0]) for store in idx._stores)
-        total_entries = sum(store[2].size for store in idx._stores)
+        total_buckets = sum(len(keys) for keys, _, _ in _table_stores(idx))
+        total_entries = sum(lens.sum() for _, lens, _ in _table_stores(idx))
         assert total_buckets == 3
         assert total_entries == 3
 
     def test_identical_vectors_collide_everywhere(self, rng):
         v = _unit_rows(rng, 1, 12)[0]
         idx = build_index([(0, v), (1, v.copy())], tables=5, hash_bits=3, seed=1)
-        for uniq, offsets, _ in idx._stores:
-            assert len(uniq) == 1
-            assert offsets[-1] == 2
+        for keys, lens, _ in _table_stores(idx):
+            assert len(keys) == 1
+            assert lens.sum() == 2
+
+    def test_buckets_tile_each_table(self, rng):
+        vs = [(i, v) for i, v in enumerate(_unit_rows(rng, 30, 10))]
+        idx = build_index(vs, tables=4, hash_bits=2, seed=3)
+        n = len(vs)
+        for tbl, (keys, lens, entries) in enumerate(_table_stores(idx)):
+            assert np.all(keys[1:] > keys[:-1])
+            b = slice(idx._table_offsets[tbl], idx._table_offsets[tbl + 1])
+            assert np.array_equal(idx._bucket_starts[b], tbl * n + np.cumsum(lens) - lens)
+            assert lens.sum() == n
+            assert sorted(entries.tolist()) == list(range(n))
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -275,8 +328,8 @@ class TestBuildIndex:
         vs = [(i, v) for i, v in enumerate(_unit_rows(rng, 20, 10))]
         a = build_index(vs, tables=4, hash_bits=3, seed=9)
         b = build_index(vs, tables=4, hash_bits=3, seed=9)
-        for (u1, o1, p1), (u2, o2, p2) in zip(a._stores, b._stores):
-            assert np.array_equal(u1, u2)
+        for (k1, _, p1), (k2, _, p2) in zip(_table_stores(a), _table_stores(b)):
+            assert np.array_equal(k1, k2)
             assert np.array_equal(p1, p2)
 
 
@@ -503,6 +556,27 @@ class TestFindPotentialMatches:
         w = synth_commute(city21, 80, seed=14)
         matches, _ = find_potential_matches(w.rides, LshConfig(tables=10, hash_bits=4, dim=32, k=4, seed=2))
         assert all(len(v) <= 4 for v in matches.values())
+
+    def test_feature_hash_memo_is_bit_identical(self, city21, monkeypatch):
+        import ridematch.lshindex as lshmod
+        from ridematch.represent import feature_hash
+
+        calls = []
+
+        def recording(v, d, seed=0, memo=None):
+            out = feature_hash(v, d, seed, memo)
+            calls.append((v, d, seed, memo, out))
+            return out
+
+        monkeypatch.setattr(lshmod, "feature_hash", recording)
+        w = synth_commute(city21, 40, seed=16)
+        lshmod.find_potential_matches(w.rides, LshConfig(tables=4, hash_bits=4, dim=32, seed=5))
+        assert len(calls) == 80  # a data row and a query row per ride
+        memo = calls[0][3]
+        assert all(c[3] is memo for c in calls)
+        assert set(memo) == set().union(*(c[0] for c in calls))
+        for v, d, seed, _, out in calls:
+            assert out.tobytes() == feature_hash(v, d, seed).tobytes()
 
     def test_degenerate_ride_flagged(self, city21):
         import dataclasses

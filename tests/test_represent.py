@@ -144,6 +144,14 @@ class TestFeatureHash:
         ])
         assert abs(est - exact) / exact < 0.05
 
+    def test_memo_keeps_every_row_bit_identical(self, rng):
+        rows = [{f"k{j}": float(rng.uniform(-3, 3)) for j in rng.choice(40, 15, replace=False)}
+                for _ in range(10)]
+        memo: dict = {}
+        for v in rows:
+            assert feature_hash(v, 16, 9, memo).tobytes() == feature_hash(v, 16, 9).tobytes()
+        assert set(memo) == set().union(*rows)
+
     def test_non_power_of_two_rejected(self):
         for d in (0, 1, 3, 48):
             with pytest.raises(ValueError):
