@@ -1,9 +1,8 @@
-"""The three heuristic comparison approaches.
+"""The three heuristic comparison approaches, deterministic and time-blind.
 
-All are deterministic (no seeds) and time-blind: CLOSEBY ranks by pickup
-proximity, HAVERSINE by straight-line matching utility, CLOSEBY-HAVERSINE
-prunes with the former and ranks with the latter. Ties break by ascending
-ride id everywhere.
+One two-stage search serves all three: CLOSEBY is its first stage (the k
+nearest pickups), HAVERSINE its second (the top k by straight-line matching
+utility), CLOSEBY-HAVERSINE both. Both stages rank by one rule (_top_k).
 """
 
 from __future__ import annotations
@@ -16,16 +15,61 @@ from .trips import Ride
 DEFAULT_M_CANDIDATES = 1000
 DEFAULT_NOMINAL_SPEED_MPS = 8.0
 
-_CHUNK = 256
+# values per ranking block (see _search)
+_BLOCK = 2**18
 
 
-def _arrays(rides):
+def _top_k(keys, cand, rows, ids, k):
+    """Per row i, the positions of the k candidates with the smallest keys,
+    ride rows[i] excluded, ties by ascending ride id. Overwrites keys (rows ×
+    candidates); k must not exceed the candidates other than the ride."""
+    cand = np.broadcast_to(cand, keys.shape)
+    keys[cand == rows[:, None]] = np.inf
+    order = np.lexsort((ids[cand], keys), axis=-1)[:, :k]
+    return np.take_along_axis(cand, order, axis=-1)
+
+
+def _rank_by_utility(ps, ds, costs, ids, rows, cand, k, max_delay_s, nominal_speed_mps):
+    """Per row, the positions of the k candidates of highest haversine utility:
+    the exact evaluator's four pickup-first orderings with straight-line
+    distances (km), whose minimum collapses to ss + tt + min(cross, cross',
+    C_a, C_b), zeroed unless pickup distance / nominal speed <= max delay."""
+    q = rows[:, None]
+    p_lat, p_lon, d_lat, d_lon = ps[cand, 0], ps[cand, 1], ds[cand, 0], ds[cand, 1]
+    ss = haversine_km_arrays(p_lat, p_lon, ps[q, 0], ps[q, 1])
+    tt = haversine_km_arrays(d_lat, d_lon, ds[q, 0], ds[q, 1])
+    s2t = haversine_km_arrays(p_lat, p_lon, ds[q, 0], ds[q, 1])
+    st2 = haversine_km_arrays(d_lat, d_lon, ps[q, 0], ps[q, 1])
+    c_a, c_b = costs[q], costs[cand]
+    combined = ss + tt + np.minimum(np.minimum(s2t, st2), np.minimum(c_a, c_b))
+    utility = np.maximum(0.0, c_a + c_b - combined)
+    utility[ss * 1000.0 / nominal_speed_mps > max_delay_s] = 0.0
+    return _top_k(-utility, cand, rows, ids, k)
+
+
+def _search(rides, nearest, by_utility=None) -> dict[int, list[int]]:
+    """Per ride, the ids of its `nearest` nearest pickups (every other ride if
+    None) or, given by_utility = (k, max_delay_s, nominal_speed_mps), the k of
+    those of highest haversine utility. Rides are ranked in blocks of rows × n
+    candidates, at most _BLOCK values (at least one row) each."""
     n = len(rides)
     ids = np.fromiter((r.id for r in rides), dtype=np.int64, count=n)
     ps = np.array([[r.pickup.lat, r.pickup.lon] for r in rides])
     ds = np.array([[r.dropoff.lat, r.dropoff.lon] for r in rides])
     costs = haversine_km_arrays(ps[:, 0], ps[:, 1], ds[:, 0], ds[:, 1])
-    return ids, ps, ds, costs
+    everyone = np.arange(n)[None, :]
+    step = max(1, _BLOCK // max(1, n))
+    out: dict[int, list[int]] = {}
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        cand = everyone
+        if nearest is not None:
+            dist = haversine_km_arrays(ps[rows, 0:1], ps[rows, 1:2], ps[cand, 0], ps[cand, 1])
+            cand = _top_k(dist, cand, rows, ids, nearest)
+        if by_utility is not None:
+            cand = _rank_by_utility(ps, ds, costs, ids, rows, cand, *by_utility)
+        out.update(zip(ids[rows].tolist(), ids[cand].tolist()))
+    return out
 
 
 def closeby(rides: list[Ride], k: int) -> dict[int, list[int]]:
@@ -33,39 +77,7 @@ def closeby(rides: list[Ride], k: int) -> dict[int, list[int]]:
     n = len(rides)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    ids, ps, _, _ = _arrays(rides)
-    out: dict[int, list[int]] = {}
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        d = haversine_km_arrays(ps[lo:hi, 0:1], ps[lo:hi, 1:2], ps[None, :, 0], ps[None, :, 1])
-        for row in range(hi - lo):
-            order = np.lexsort((ids, d[row]))
-            order = order[order != lo + row][:k]
-            out[int(ids[lo + row])] = [int(ids[i]) for i in order]
-    return out
-
-
-def _hav_utilities(ps, ds, costs, qi, cand, max_delay_s, nominal_speed_mps, feasibility):
-    """Haversine matching utilities (km) of ride qi against candidate rows.
-
-    Same four pickup-first orderings as the exact evaluator, but with
-    straight-line point distances as segment costs; with symmetric distances
-    the minimum collapses to ss + tt + min(cross, cross', C_a, C_b). The
-    feasibility proxy is pickup distance / nominal speed <= max delay (no
-    request-time term: the heuristic is deliberately time-blind).
-    """
-    ss = haversine_km_arrays(ps[cand, 0], ps[cand, 1], ps[qi, 0], ps[qi, 1])
-    tt = haversine_km_arrays(ds[cand, 0], ds[cand, 1], ds[qi, 0], ds[qi, 1])
-    s2t = haversine_km_arrays(ps[cand, 0], ps[cand, 1], ds[qi, 0], ds[qi, 1])
-    st2 = haversine_km_arrays(ds[cand, 0], ds[cand, 1], ps[qi, 0], ps[qi, 1])
-    c_a = costs[qi]
-    c_b = costs[cand]
-    combined = ss + tt + np.minimum.reduce([s2t, st2, np.full_like(ss, c_a), c_b])
-    utility = np.maximum(0.0, c_a + c_b - combined)
-    if feasibility:
-        delay_s = ss * 1000.0 / nominal_speed_mps
-        utility = np.where(delay_s <= max_delay_s, utility, 0.0)
-    return utility
+    return _search(rides, k)
 
 
 def haversine_topk(
@@ -73,19 +85,9 @@ def haversine_topk(
     k: int,
     max_delay_s: float = 600.0,
     nominal_speed_mps: float = DEFAULT_NOMINAL_SPEED_MPS,
-    feasibility: bool = True,
 ) -> dict[int, list[int]]:
     """Exhaustive top-k by haversine matching utility per ride."""
-    n = len(rides)
-    ids, ps, ds, costs = _arrays(rides)
-    all_idx = np.arange(n)
-    out: dict[int, list[int]] = {}
-    for qi in range(n):
-        util = _hav_utilities(ps, ds, costs, qi, all_idx, max_delay_s, nominal_speed_mps, feasibility)
-        order = np.lexsort((ids, -util))
-        order = order[order != qi][:k]
-        out[int(ids[qi])] = [int(ids[i]) for i in order]
-    return out
+    return _search(rides, None, (min(k, len(rides) - 1), max_delay_s, nominal_speed_mps))
 
 
 def closeby_haversine(
@@ -94,20 +96,12 @@ def closeby_haversine(
     m_candidates: int = DEFAULT_M_CANDIDATES,
     max_delay_s: float = 600.0,
     nominal_speed_mps: float = DEFAULT_NOMINAL_SPEED_MPS,
-    feasibility: bool = True,
 ) -> dict[int, list[int]]:
-    """Two-stage hybrid: m nearest pickups first, then top-k by haversine utility."""
+    """Two-stage hybrid: m nearest pickups first, then top-k by haversine
+    utility. A one-ride pool has no candidates: its ride maps to []."""
     if m_candidates < k:
         raise ValueError(f"m_candidates ({m_candidates}) must be >= k ({k})")
     n = len(rides)
-    m = min(m_candidates, n - 1)
-    stage1 = closeby(rides, m)
-    idx_of = {int(i): pos for pos, i in enumerate(r.id for r in rides)}
-    ids, ps, ds, costs = _arrays(rides)
-    out: dict[int, list[int]] = {}
-    for qi in range(n):
-        cand = np.fromiter((idx_of[c] for c in stage1[int(ids[qi])]), dtype=np.int64)
-        util = _hav_utilities(ps, ds, costs, qi, cand, max_delay_s, nominal_speed_mps, feasibility)
-        order = np.lexsort((ids[cand], -util))[:k]
-        out[int(ids[qi])] = [int(ids[cand[i]]) for i in order]
-    return out
+    if m_candidates < 1 or n < 1:
+        raise ValueError(f"need m_candidates >= 1 and n >= 1, got m_candidates={m_candidates}, n={n}")
+    return _search(rides, min(m_candidates, n - 1), (k, max_delay_s, nominal_speed_mps))

@@ -137,16 +137,20 @@ class ExperimentConfig:
         for a in cfg.approaches:
             if a not in APPROACHES:
                 errors.append(f"unknown approach {a!r} (choose from {', '.join(APPROACHES)})")
-        if not isinstance(cfg.lsh, dict):
-            errors.append(f"lsh must be an object, got {cfg.lsh!r}")
-        else:
-            errors += _lsh_errors(cfg.lsh)
+        errors += _lsh_errors(cfg.lsh)
         if cfg.timing not in ("wall", "none"):
             errors.append(f"timing must be 'wall' or 'none', got {cfg.timing!r}")
         if "json" not in cfg.network:
             for key in ("rows", "cols"):
-                if cfg.network.get(key, 2) < 2:
-                    errors.append(f"network.{key} must be >= 2")
+                if key in cfg.network:
+                    errors += _value_errors(f"network.{key}", cfg.network[key], int, lambda v: v >= 2, ">= 2")
+        # m_candidates is held to k only when k itself is valid
+        k = None if _value_errors("k", cfg.k, *_NUMERIC_FIELDS["k"]) else cfg.k
+        baseline_checks = {
+            "m_candidates": (int, None if k is None else lambda v: v >= k, f">= k ({k})"),
+            "nominal_speed_mps": ((int, float), lambda v: v > 0, "positive"),
+        }
+        errors += _section_errors("baseline", cfg.baseline, baseline_checks)
         if errors:
             raise ConfigError(errors)
         return cfg
@@ -157,19 +161,27 @@ class ExperimentConfig:
         return LshConfig(**fields)
 
 
-def _lsh_errors(lsh: dict) -> list[str]:
-    """Every error in the keys and values of the "lsh" config section."""
+def _section_errors(section: str, values, checks: dict) -> list[str]:
+    """Every error in the keys and values of one config section; checks maps
+    each accepted key to (accepted types, valid-range check, what the range is)."""
+    if not isinstance(values, dict):
+        return [f"{section} must be an object, got {values!r}"]
     errors = []
-    bad = set()
-    for key, value in lsh.items():
-        if key not in _LSH_FIELDS:
-            errors.append(f"unknown lsh key {key!r} (choose from {', '.join(_LSH_FIELDS)})")
-            continue
-        errs = _value_errors(f"lsh.{key}", value, *_LSH_FIELDS[key][1:])
-        if errs:
-            errors += errs
-            bad.add(key)
-    if "cp_dim" in lsh and not bad & {"cp_dim", "dim", "m"}:
+    for key, value in values.items():
+        if key in checks:
+            errors += _value_errors(f"{section}.{key}", value, *checks[key])
+        else:
+            errors.append(f"unknown {section} key {key!r} (choose from {', '.join(checks)})")
+    return errors
+
+
+def _lsh_errors(lsh) -> list[str]:
+    """Every error in the "lsh" config section."""
+    checks = {key: spec[1:] for key, spec in _LSH_FIELDS.items()}
+    errors = _section_errors("lsh", lsh, checks)
+    if not isinstance(lsh, dict) or "cp_dim" not in lsh:
+        return errors
+    if not any(_value_errors(key, lsh[key], *checks[key]) for key in ("cp_dim", "dim", "m") if key in lsh):
         # the index hashes dim + m coordinates, zero-padded to a power of two
         width = lsh.get("dim", _LSH_DEFAULT_DIM) + lsh.get("m", LshConfig.norm_terms)
         top = 1 << (width - 1).bit_length()
@@ -253,16 +265,8 @@ def _proposal_stage(approach, rides, cfg, net):
     if approach == "haversine":
         return baselines.haversine_topk(rides, cfg.k, cfg.max_delay_s, speed), None
     if approach == "closeby_haversine":
-        return (
-            baselines.closeby_haversine(
-                rides,
-                cfg.k,
-                bl.get("m_candidates", baselines.DEFAULT_M_CANDIDATES),
-                cfg.max_delay_s,
-                speed,
-            ),
-            None,
-        )
+        m = bl.get("m_candidates", baselines.DEFAULT_M_CANDIDATES)
+        return baselines.closeby_haversine(rides, cfg.k, m, cfg.max_delay_s, speed), None
     raise ValueError(f"unknown approach {approach!r}")
 
 

@@ -1,14 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ridematch import baselines
 from ridematch.baselines import closeby, closeby_haversine, haversine_topk
-from ridematch.geo import haversine_km
+from ridematch.geo import GeoPoint, haversine_km
 from ridematch.trips import synth_commute
 
 
-def hav_utility_reference(a, b, max_delay_s=600.0, speed=8.0, feasibility=True):
+def hav_utility_reference(a, b, max_delay_s=600.0, speed=8.0):
     """Independent straight-line 4-ordering utility (km), readable loop form."""
     c_a = haversine_km(a.pickup, a.dropoff)
     c_b = haversine_km(b.pickup, b.dropoff)
@@ -20,7 +22,7 @@ def hav_utility_reference(a, b, max_delay_s=600.0, speed=8.0, feasibility=True):
         ss + c_a + haversine_km(a.dropoff, b.dropoff),
     ]
     util = max(0.0, c_a + c_b - min(orderings))
-    if feasibility and ss * 1000.0 / speed > max_delay_s:
+    if ss * 1000.0 / speed > max_delay_s:
         return 0.0
     return util
 
@@ -123,6 +125,17 @@ class TestClosebyHaversine:
         w = synth_commute(city21, 20, seed=30)
         with pytest.raises(ValueError):
             closeby_haversine(w.rides, 10, m_candidates=5)
+        with pytest.raises(ValueError):
+            closeby_haversine(w.rides, 0, m_candidates=0)
+        with pytest.raises(ValueError):
+            closeby_haversine([], 1)
+
+    def test_one_ride_pool_has_no_candidates(self, city21):
+        ride = synth_commute(city21, 5, seed=31).rides[0]
+        assert closeby_haversine([ride], 5) == {ride.id: []}
+        assert haversine_topk([ride], 5) == {ride.id: []}
+        with pytest.raises(ValueError):
+            closeby([ride], 1)
 
 
 def test_all_baselines_deterministic(city21):
@@ -130,3 +143,78 @@ def test_all_baselines_deterministic(city21):
     assert closeby(w.rides, 5) == closeby(w.rides, 5)
     assert haversine_topk(w.rides, 5) == haversine_topk(w.rides, 5)
     assert closeby_haversine(w.rides, 5, 20) == closeby_haversine(w.rides, 5, 20)
+
+
+def closeby_reference(rides, q, k):
+    return [rid for _, rid in sorted((haversine_km(q.pickup, r.pickup), r.id) for r in rides if r.id != q.id)[:k]]
+
+
+def utility_reference(q, cands, k):
+    return [rid for _, rid in sorted((-hav_utility_reference(q, r), r.id) for r in cands)[:k]]
+
+
+class TestBlocks:
+    """Rankings do not depend on where the row blocks fall."""
+
+    @pytest.fixture(scope="class")
+    def tied_pool(self, city21):
+        # clones in groups of three (equal pickups and dropoffs, so every key
+        # ties exactly within a group), with ids in no relation to positions
+        base = synth_commute(city21, 12, seed=32).rides
+        ids = np.random.default_rng(5).permutation(3 * len(base)) * 7 + 3
+        return [dataclasses.replace(base[i // 3], id=int(rid)) for i, rid in enumerate(ids)]
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4, 7])
+    def test_blocks_match_per_row_references(self, tied_pool, rows_per_block, monkeypatch):
+        rides = tied_pool
+        n = len(rides)
+        monkeypatch.setattr(baselines, "_BLOCK", rows_per_block * n + n // 2)
+        block_rows = []
+        top_k = baselines._top_k
+        monkeypatch.setattr(baselines, "_top_k", lambda keys, *rest: block_rows.append(len(keys)) or top_k(keys, *rest))
+        near = closeby(rides, 5)
+        full, rest = divmod(n, rows_per_block)
+        assert block_rows == [rows_per_block] * full + [rest] * (rest > 0)
+        by_id = {r.id: r for r in rides}
+        exhaustive = {k: haversine_topk(rides, k) for k in (4, n - 1, n + 3)}
+        hybrid = closeby_haversine(rides, 4, m_candidates=9)
+        for q in rides:
+            others = [r for r in rides if r.id != q.id]
+            assert near[q.id] == closeby_reference(rides, q, 5)
+            for k, out in exhaustive.items():
+                assert out[q.id] == utility_reference(q, others, k)
+            stage1 = [by_id[c] for c in closeby_reference(rides, q, 9)]
+            assert hybrid[q.id] == utility_reference(q, stage1, 4)
+        assert exhaustive[n - 1] == exhaustive[n + 3] == closeby_haversine(rides, n - 1, m_candidates=n + 3)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda rides: closeby(rides, 10),
+        lambda rides: haversine_topk(rides, 10),
+        lambda rides: closeby_haversine(rides, 10),
+    ],
+    ids=["closeby", "haversine_topk", "closeby_haversine"],
+)
+def test_memory_bounded(city21, run):
+    # 3000 rides, the CLI's default optimal_cap. The baselines read only id,
+    # pickup and dropoff, so clones of one routed ride with random points
+    # stand in for a routed pool.
+    n = 3000
+    base = synth_commute(city21, 5, seed=33).rides[0]
+    rng = np.random.default_rng(6)
+    lat = 40.72 + rng.random((n, 2)) * 0.09
+    lon = -74.0 + rng.random((n, 2)) * 0.12
+    rides = [
+        dataclasses.replace(base, id=i, pickup=GeoPoint(lat[i, 0], lon[i, 0]), dropoff=GeoPoint(lat[i, 1], lon[i, 1]))
+        for i in range(n)
+    ]
+    tracemalloc.start()
+    try:
+        out = run(rides)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == n and all(len(v) == 10 for v in out.values())
+    assert peak < 48 * 2**20

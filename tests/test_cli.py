@@ -234,17 +234,36 @@ class TestMain:
             cfg_path.write_text(json.dumps(raw))
             assert main(["run", "--config", str(cfg_path)]) == 2
             assert f"config error: {message}" in capsys.readouterr().err
+        for section, key, value, message in (
+            ("network", "rows", "21", "network.rows must be an integer, got '21'"),
+            ("network", "cols", 1, "network.cols must be >= 2, got 1"),
+            ("network", "rows", True, "network.rows must be an integer, got True"),
+            ("baseline", "m_candidates", "1000", "baseline.m_candidates must be an integer, got '1000'"),
+            ("baseline", "m_candidates", 9, "baseline.m_candidates must be >= k (10), got 9"),
+            ("baseline", "m_candidtes", 1000, "unknown baseline key 'm_candidtes'"),
+            ("baseline", "nominal_speed_mps", 0, "baseline.nominal_speed_mps must be positive, got 0"),
+            ("baseline", "nominal_speed_mps", "8", "baseline.nominal_speed_mps must be a number, got '8'"),
+        ):
+            raw = json.loads((DATA / "fixture_config.json").read_text())
+            raw[section][key] = value
+            cfg_path.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(cfg_path)]) == 2
+            assert f"config error: {message}" in capsys.readouterr().err
         # every error at once; cp_dim's bound is not judged against a bad dim
         raw = json.loads((DATA / "fixture_config.json").read_text())
         raw["lsh"].update({"probes": 0, "dim": 60, "cp_dim": 500, "center": "yes"})
         raw["k"] = 0
+        raw["network"]["rows"] = "21"
+        raw["baseline"].update({"m_candidates": -3, "speed": 8.0})
         cfg_path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         for message in ("k must be >= 1, got 0", "lsh.probes must be >= 1, got 0",
-                        "lsh.dim must be a power of two >= 2, got 60", "lsh.center must be a boolean, got 'yes'"):
+                        "lsh.dim must be a power of two >= 2, got 60", "lsh.center must be a boolean, got 'yes'",
+                        "network.rows must be an integer, got '21'", "unknown baseline key 'speed'"):
             assert message in err
-        assert "lsh.cp_dim" not in err
+        # neither is judged against a bad dim or k
+        assert "lsh.cp_dim" not in err and "baseline.m_candidates" not in err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
