@@ -87,6 +87,8 @@ def haversine_topk(
     nominal_speed_mps: float = DEFAULT_NOMINAL_SPEED_MPS,
 ) -> dict[int, list[int]]:
     """Exhaustive top-k by haversine matching utility per ride."""
+    if not rides:
+        raise ValueError("need n >= 1 rides, got n=0")
     return _search(rides, None, (min(k, len(rides) - 1), max_delay_s, nominal_speed_mps))
 
 

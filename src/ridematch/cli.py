@@ -76,15 +76,27 @@ _LSH_FIELDS = {
 # lsh.dim when the config does not set it
 _LSH_DEFAULT_DIM = 128
 
+# Accepted keys of the "network" config section -> (accepted types, valid-range
+# check, what the range is).
+_NETWORK_FIELDS = {
+    "json": (str, None, None),
+    "kind": (str, lambda v: v in ("city", "grid"), '"city" or "grid"'),
+    "rows": (int, lambda v: v >= 2, ">= 2"),
+    "cols": (int, lambda v: v >= 2, ">= 2"),
+    "spacing_m": ((int, float), lambda v: v > 0, "positive"),
+    "seed": (int, None, None),
+    "arterial_every": (int, lambda v: v >= 1, ">= 1"),
+}
+
 
 def _value_errors(name: str, value, types, in_range, range_text) -> list[str]:
     """The config error of one value, if any. A bool passes only where bool
     is the type asked for."""
     if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
-        kind = {bool: "a boolean", int: "an integer"}.get(types, "a number")
+        kind = {bool: "a boolean", int: "an integer", str: "a string"}.get(types, "a number")
         return [f"{name} must be {kind}, got {value!r}"]
     if in_range is not None and not in_range(value):
-        return [f"{name} must be {range_text}, got {value}"]
+        return [f"{name} must be {range_text}, got {value!r}"]
     return []
 
 
@@ -140,10 +152,7 @@ class ExperimentConfig:
         errors += _lsh_errors(cfg.lsh)
         if cfg.timing not in ("wall", "none"):
             errors.append(f"timing must be 'wall' or 'none', got {cfg.timing!r}")
-        if "json" not in cfg.network:
-            for key in ("rows", "cols"):
-                if key in cfg.network:
-                    errors += _value_errors(f"network.{key}", cfg.network[key], int, lambda v: v >= 2, ">= 2")
+        errors += _section_errors("network", cfg.network, _NETWORK_FIELDS)
         # m_candidates is held to k only when k itself is valid
         k = None if _value_errors("k", cfg.k, *_NUMERIC_FIELDS["k"]) else cfg.k
         baseline_checks = {
@@ -419,8 +428,8 @@ def _resolve_paths(raw: dict, config_path: str) -> None:
     base = os.path.dirname(os.path.abspath(config_path))
 
     def fix(container, key):
-        path = container.get(key)
-        if path and not os.path.isabs(path) and not os.path.exists(path):
+        path = container.get(key) if isinstance(container, dict) else None
+        if isinstance(path, str) and path and not os.path.isabs(path) and not os.path.exists(path):
             candidate = os.path.join(base, path)
             if os.path.exists(candidate):
                 container[key] = candidate

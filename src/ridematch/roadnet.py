@@ -30,6 +30,9 @@ ALT_ACCEPT_RATIO = 1.2
 BATCH_SIZE = 100
 BATCH_LATENCY_MS = 10.0
 
+# (point, node) distances per snapping block (see RoadNetwork.nearest_nodes)
+_SNAP_BLOCK = 2**18
+
 
 class NoRouteError(RuntimeError):
     """No path exists between the snapped endpoints."""
@@ -105,7 +108,7 @@ def _sssp(indptr, indices, weights, source: int) -> tuple[np.ndarray, np.ndarray
 class RoadNetwork:
     """Directed road graph in CSR form with per-edge durations and lengths.
 
-    Immutable after construction; shortest-path results are memoized per
+    Immutable after construction; distance_matrix rows are memoized per
     source node so repeated queries are cheap.
     """
 
@@ -127,8 +130,8 @@ class RoadNetwork:
         self.indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
         np.add.at(self.indptr, self.edge_u + 1, 1)
         self.indptr = np.cumsum(self.indptr)
-        self._sssp_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._dmat: np.ndarray | None = None
+        # distance_matrix rows by source node: at most one row per node
+        self._rows: dict[int, np.ndarray] = {}
         # Demand anchor nodes (set by builders that know the city structure).
         self.hubs: np.ndarray | None = None
 
@@ -136,30 +139,35 @@ class RoadNetwork:
         return GeoPoint(float(self.node_lat[i]), float(self.node_lon[i]))
 
     def nearest_node(self, p: GeoPoint) -> int:
-        d = haversine_km_arrays(self.node_lat, self.node_lon, p.lat, p.lon)
-        return int(np.argmin(d))
+        return int(self.nearest_nodes([p.lat], [p.lon])[0])
 
     def nearest_nodes(self, lats, lons) -> np.ndarray:
-        lats = np.asarray(lats, dtype=np.float64)
+        """The node nearest each point by haversine distance, the lowest node
+        id on a tie. Points are snapped in blocks of at most _SNAP_BLOCK
+        (point, node) distances, at least one point each."""
+        lats = np.asarray(lats, dtype=np.float64)[:, None]
+        lons = np.asarray(lons, dtype=np.float64)[:, None]
         out = np.empty(len(lats), dtype=np.int64)
-        for i in range(len(lats)):
-            d = haversine_km_arrays(self.node_lat, self.node_lon, lats[i], lons[i])
-            out[i] = np.argmin(d)
+        step = max(1, _SNAP_BLOCK // self.n_nodes)
+        for lo in range(0, len(lats), step):
+            d = haversine_km_arrays(self.node_lat, self.node_lon, lats[lo : lo + step], lons[lo : lo + step])
+            out[lo : lo + step] = np.argmin(d, axis=1)
         return out
 
-    def shortest_from(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._sssp_cache.get(source)
-        if cached is None:
-            cached = _sssp(self.indptr, self.edge_v, self.edge_duration, source)
-            self._sssp_cache[source] = cached
-        return cached
+    def distance_matrix(self, sources=None) -> np.ndarray:
+        """Shortest-path durations (seconds) from each of `sources` (every node
+        if None) to every node, one row per source; np.inf if unreachable.
 
-    def distance_matrix(self) -> np.ndarray:
-        """All-pairs shortest-path durations (seconds); np.inf if unreachable."""
-        if self._dmat is None:
+        The rows not yet known are computed in one Dijkstra call and kept, so
+        the memo never holds more than one row per node.
+        """
+        sources = np.arange(self.n_nodes) if sources is None else np.asarray(sources, dtype=np.int64)
+        missing = [s for s in dict.fromkeys(sources.tolist()) if s not in self._rows]
+        if missing:
             graph = _csr_graph(self.indptr, self.edge_v, self.edge_duration)
-            self._dmat = dijkstra(graph, directed=True)
-        return self._dmat
+            rows = dijkstra(graph, directed=True, indices=missing).reshape(len(missing), self.n_nodes)
+            self._rows.update(zip(missing, rows))
+        return np.array([self._rows[s] for s in sources.tolist()]).reshape(len(sources), self.n_nodes)
 
     def to_dict(self) -> dict:
         return {
@@ -302,21 +310,19 @@ def _tree_route(net: RoadNetwork, pred_edge: np.ndarray, source: int, target: in
     return edges, Route(points=points, segment_durations=segs, total_duration=math.fsum(segs), nodes=nodes)
 
 
-def route(net: RoadNetwork, origin: GeoPoint, dest: GeoPoint, alternates: int = 1) -> list[Route]:
-    """Route between the nearest network nodes; up to `alternates` routes total.
+def _pair_routes(net: RoadNetwork, s: int, t: int, alternates: int, trees: dict) -> list[Route]:
+    """Up to `alternates` routes from node s to node t, sorted by duration.
 
-    The first route is a minimum-duration Dijkstra path. Additional ones come
-    from re-solving with used-edge durations penalized; a candidate is kept
-    only while it stays within ALT_ACCEPT_RATIO of the optimum and uses a
-    different edge set. The result is sorted by duration.
+    trees maps a source node to its shortest-path tree (pred_edge); a missing
+    tree is computed and added. Raises NoRouteError if t is unreachable.
     """
     if alternates < 1:
         raise ValueError(f"alternates must be >= 1, got {alternates}")
-    s = net.nearest_node(origin)
-    t = net.nearest_node(dest)
     if s == t:
         return [Route(points=[net.node_point(s)], segment_durations=[], total_duration=0.0, nodes=[s])]
-    edges, best = _tree_route(net, net.shortest_from(s)[1], s, t)
+    if s not in trees:
+        trees[s] = _sssp(net.indptr, net.edge_v, net.edge_duration, s)[1]
+    edges, best = _tree_route(net, trees[s], s, t)
     routes = [best]
     if alternates > 1:
         weights = net.edge_duration.copy()
@@ -333,6 +339,18 @@ def route(net: RoadNetwork, origin: GeoPoint, dest: GeoPoint, alternates: int = 
     return routes
 
 
+def route(net: RoadNetwork, origin: GeoPoint, dest: GeoPoint, alternates: int = 1) -> list[Route]:
+    """Route between the nearest network nodes; up to `alternates` routes total.
+
+    The first route is a minimum-duration Dijkstra path. Additional ones come
+    from re-solving with used-edge durations penalized; a candidate is kept
+    only while it stays within ALT_ACCEPT_RATIO of the optimum and uses a
+    different edge set. The result is sorted by duration.
+    """
+    s, t = net.nearest_nodes([origin.lat, dest.lat], [origin.lon, dest.lon]).tolist()
+    return _pair_routes(net, s, t, alternates, {})
+
+
 def batch_route(net: RoadNetwork, requests, ledger: RoutingLedger) -> list[Route | None]:
     """Route each (origin, dest) request; None marks an unreachable pair.
 
@@ -345,12 +363,23 @@ def batch_route(net: RoadNetwork, requests, ledger: RoutingLedger) -> list[Route
 def batch_route_multi(
     net: RoadNetwork, requests, ledger: RoutingLedger, alternates: int = 1
 ) -> list[list[Route] | None]:
-    """Batch variant returning all alternates per request (still 1 call each)."""
-    results: list[list[Route] | None] = []
-    for origin, dest in requests:
+    """Batch variant returning all alternates per request (still 1 call each).
+
+    Every endpoint is snapped in one pass, and each distinct snapped (s, t)
+    pair is routed once, with one shortest-path tree per source. The requests
+    of one pair get their own lists of the same read-only Routes, equal to
+    what route() returns for each.
+    """
+    requests = list(requests)
+    ends = [p for pair in requests for p in pair]
+    nodes = net.nearest_nodes([p.lat for p in ends], [p.lon for p in ends])
+    pairs, inverse = np.unique(nodes[0::2] * net.n_nodes + nodes[1::2], return_inverse=True)
+    trees: dict[int, np.ndarray] = {}
+    routed: list[list[Route] | None] = []
+    for s, t in zip(*divmod(pairs, net.n_nodes)):
         try:
-            results.append(route(net, origin, dest, alternates=alternates))
+            routed.append(_pair_routes(net, int(s), int(t), alternates, trees))
         except NoRouteError:
-            results.append(None)
-    ledger.charge(len(results))
-    return results
+            routed.append(None)
+    ledger.charge(len(requests))
+    return [None if routed[i] is None else list(routed[i]) for i in inverse.tolist()]

@@ -31,19 +31,20 @@ class MatchEvaluation:
     utility: float
 
 
-def _eval_arrays(dmat, a_s, a_t, c_a, t_a, b_s, b_t, c_b, t_b, max_delay_s):
-    """Vectorized pair evaluation over parallel index/cost/time arrays.
+def _eval_arrays(table, a_s, a_t, c_a, t_a, b_s, b_t, c_b, t_b, max_delay_s):
+    """Vectorized pair evaluation over parallel index/cost/time arrays; the
+    node indices index both axes of the duration table.
 
     Returns (combined, best_idx, feasible, utility). Orderings whose
     second-picked ride would wait longer than max_delay_s, or with an
     unreachable leg, are excluded; an excluded pair has combined == inf.
     """
-    d_ss = dmat[a_s, b_s]   # a's pickup -> b's pickup
-    d_s2s = dmat[b_s, a_s]
-    d_tt = dmat[a_t, b_t]   # a's dropoff -> b's dropoff
-    d_t2t = dmat[b_t, a_t]
-    d_st2 = dmat[a_s, b_t]
-    d_s2t = dmat[b_s, a_t]
+    d_ss = table[a_s, b_s]   # a's pickup -> b's pickup
+    d_s2s = table[b_s, a_s]
+    d_tt = table[a_t, b_t]   # a's dropoff -> b's dropoff
+    d_t2t = table[b_t, a_t]
+    d_st2 = table[a_s, b_t]
+    d_s2t = table[b_s, a_t]
 
     orders = np.stack(
         [
@@ -70,6 +71,15 @@ def _eval_arrays(dmat, a_s, a_t, c_a, t_a, b_s, b_t, c_b, t_b, max_delay_s):
     return combined, best_idx, feasible, utility
 
 
+def _endpoint_table(net: RoadNetwork, *nodes):
+    """Shortest durations among the given nodes only, and each node array
+    re-indexed into that table. Rows come from these nodes alone, so no
+    V x V table is built."""
+    ends, inverse = np.unique(np.concatenate(nodes), return_inverse=True)
+    table = net.distance_matrix(ends)[:, ends]
+    return table, np.split(inverse, np.cumsum([len(a) for a in nodes[:-1]]))
+
+
 def _arrays_of(rides):
     s = np.fromiter((r.pickup_node for r in rides), dtype=np.int64, count=len(rides))
     t = np.fromiter((r.dropoff_node for r in rides), dtype=np.int64, count=len(rides))
@@ -88,15 +98,17 @@ def combined_cost(
     """Evaluate one pair; 6 cross-segment routing calls are charged."""
     if ledger is not None:
         ledger.charge(CROSS_SEGMENTS_PER_PAIR)
-    dmat = net.distance_matrix()
+    table, (a_s, a_t, b_s, b_t) = _endpoint_table(
+        net, [r.pickup_node], [r.dropoff_node], [r2.pickup_node], [r2.dropoff_node]
+    )
     combined, best_idx, feasible, utility = _eval_arrays(
-        dmat,
-        np.array([r.pickup_node]),
-        np.array([r.dropoff_node]),
+        table,
+        a_s,
+        a_t,
         np.array([r.cost]),
         np.array([r.request_time]),
-        np.array([r2.pickup_node]),
-        np.array([r2.dropoff_node]),
+        b_s,
+        b_t,
         np.array([r2.cost]),
         np.array([r2.request_time]),
         max_delay_s,
@@ -138,9 +150,9 @@ def pairwise_utilities(
     s, t, c, rt = _arrays_of(rides)
     i = pairs[:, 0]
     j = pairs[:, 1]
-    dmat = net.distance_matrix()
+    table, (s, t) = _endpoint_table(net, s, t)
     _, _, _, utility = _eval_arrays(
-        dmat, s[i], t[i], c[i], rt[i], s[j], t[j], c[j], rt[j], max_delay_s
+        table, s[i], t[i], c[i], rt[i], s[j], t[j], c[j], rt[j], max_delay_s
     )
     return utility
 
@@ -163,11 +175,11 @@ def brute_force_topk(
     if not others:
         return []
     s, t, c, rt = _arrays_of(others)
-    dmat = net.distance_matrix()
+    table, (q_s, q_t, s, t) = _endpoint_table(net, [q.pickup_node], [q.dropoff_node], s, t)
     _, _, _, utility = _eval_arrays(
-        dmat,
-        np.full(len(others), q.pickup_node),
-        np.full(len(others), q.dropoff_node),
+        table,
+        np.repeat(q_s, len(others)),
+        np.repeat(q_t, len(others)),
         np.full(len(others), q.cost),
         np.full(len(others), q.request_time),
         s,
@@ -192,7 +204,7 @@ def brute_force_topk_all(
     n = len(rides)
     s, t, c, rt = _arrays_of(rides)
     ids = np.fromiter((r.id for r in rides), dtype=np.int64, count=n)
-    dmat = net.distance_matrix()
+    table, (s, t) = _endpoint_table(net, s, t)
     out: dict[int, list[tuple[int, float]]] = {}
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -202,7 +214,7 @@ def brute_force_topk_all(
         qc = np.repeat(c[lo:hi], n)
         qrt = np.repeat(rt[lo:hi], n)
         _, _, _, util = _eval_arrays(
-            dmat, qs, qt, qc, qrt,
+            table, qs, qt, qc, qrt,
             np.tile(s, m), np.tile(t, m), np.tile(c, m), np.tile(rt, m),
             max_delay_s,
         )

@@ -138,6 +138,16 @@ class TestClosebyHaversine:
             closeby([ride], 1)
 
 
+@pytest.mark.parametrize("run", [
+    lambda rides: closeby(rides, 1),
+    lambda rides: haversine_topk(rides, 1),
+    lambda rides: closeby_haversine(rides, 1),
+])
+def test_empty_pool_rejected(run):
+    with pytest.raises(ValueError, match="n=0"):
+        run([])
+
+
 def test_all_baselines_deterministic(city21):
     w = synth_commute(city21, 50, seed=36)
     assert closeby(w.rides, 5) == closeby(w.rides, 5)

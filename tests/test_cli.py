@@ -238,6 +238,14 @@ class TestMain:
             ("network", "rows", "21", "network.rows must be an integer, got '21'"),
             ("network", "cols", 1, "network.cols must be >= 2, got 1"),
             ("network", "rows", True, "network.rows must be an integer, got True"),
+            ("network", "kind", "town", 'network.kind must be "city" or "grid", got \'town\''),
+            ("network", "kind", 1, "network.kind must be a string, got 1"),
+            ("network", "json", 5, "network.json must be a string, got 5"),
+            ("network", "spacing_m", 0, "network.spacing_m must be positive, got 0"),
+            ("network", "spacing_m", "500", "network.spacing_m must be a number, got '500'"),
+            ("network", "seed", 4.2, "network.seed must be an integer, got 4.2"),
+            ("network", "arterial_every", 0, "network.arterial_every must be >= 1, got 0"),
+            ("network", "colums", 21, "unknown network key 'colums'"),
             ("baseline", "m_candidates", "1000", "baseline.m_candidates must be an integer, got '1000'"),
             ("baseline", "m_candidates", 9, "baseline.m_candidates must be >= k (10), got 9"),
             ("baseline", "m_candidtes", 1000, "unknown baseline key 'm_candidtes'"),
@@ -249,18 +257,24 @@ class TestMain:
             cfg_path.write_text(json.dumps(raw))
             assert main(["run", "--config", str(cfg_path)]) == 2
             assert f"config error: {message}" in capsys.readouterr().err
+        raw = json.loads((DATA / "fixture_config.json").read_text())
+        raw["network"] = ["city"]
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "config error: network must be an object, got ['city']" in capsys.readouterr().err
         # every error at once; cp_dim's bound is not judged against a bad dim
         raw = json.loads((DATA / "fixture_config.json").read_text())
         raw["lsh"].update({"probes": 0, "dim": 60, "cp_dim": 500, "center": "yes"})
         raw["k"] = 0
-        raw["network"]["rows"] = "21"
+        raw["network"].update({"rows": "21", "kind": "town", "size": 3})
         raw["baseline"].update({"m_candidates": -3, "speed": 8.0})
         cfg_path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         for message in ("k must be >= 1, got 0", "lsh.probes must be >= 1, got 0",
                         "lsh.dim must be a power of two >= 2, got 60", "lsh.center must be a boolean, got 'yes'",
-                        "network.rows must be an integer, got '21'", "unknown baseline key 'speed'"):
+                        "network.rows must be an integer, got '21'", "network.kind must be \"city\" or \"grid\"",
+                        "unknown network key 'size'", "unknown baseline key 'speed'"):
             assert message in err
         # neither is judged against a bad dim or k
         assert "lsh.cp_dim" not in err and "baseline.m_candidates" not in err

@@ -1,23 +1,30 @@
 import heapq
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
-from ridematch.geo import GeoPoint
+from ridematch import roadnet
+from ridematch.geo import GeoPoint, haversine_km_arrays
 from ridematch.roadnet import (
     ALT_ACCEPT_RATIO,
     NoRouteError,
     RoadNetwork,
     Route,
     RoutingLedger,
+    _csr_graph,
     _sssp,
     batch_route,
+    batch_route_multi,
     build_city_network,
     build_grid_network,
     route,
 )
+from ridematch.trips import synth_commute
+from ridematch.utility import pairwise_utilities
 
 
 def brute_force_shortest(net, s, t):
@@ -188,7 +195,7 @@ class TestRoute:
         # two edges 0 -> 1 of 3 s and 5 s; the route must take the 3 s one
         net = RoadNetwork.from_dict(_two_node_data([(0, 1, 3.0), (0, 1, 5.0), (1, 0, 4.0)]))
         best = route(net, net.node_point(0), net.node_point(1))[0]
-        assert best.total_duration == net.shortest_from(0)[0][1] == 3.0
+        assert best.total_duration == net.distance_matrix([0])[0, 1] == 3.0
         assert best.nodes == [0, 1] and best.segment_durations == [3.0]
 
     def test_alternate_takes_the_other_parallel_edge(self):
@@ -262,6 +269,122 @@ class TestBatchRoute:
         out = batch_route(net, [(GeoPoint(0.0, 0.0), GeoPoint(0.5, 0.0))], ledger)
         assert out == [None]
         assert ledger.call_count == 1
+
+
+class TestBatchRouteMulti:
+    @pytest.fixture(scope="class")
+    def city_and_island(self):
+        """A 6x6 city (nodes 0-35) plus two nodes 36, 37 that reach only each other."""
+        data = build_city_network(6, 6, 500.0, seed=4, arterial_every=3).to_dict()
+        data["nodes"] += [{"id": 36, "lat": 41.0, "lon": -74.0}, {"id": 37, "lat": 41.0, "lon": -73.99}]
+        data["edges"] += [
+            {"u": 36, "v": 37, "duration_s": 60.0, "length_m": 900.0},
+            {"u": 37, "v": 36, "duration_s": 60.0, "length_m": 900.0},
+        ]
+        return RoadNetwork.from_dict(data)
+
+    def test_equals_per_request_route(self, city_and_island):
+        net = city_and_island
+        rng = np.random.default_rng(11)
+
+        def near(node):
+            p = net.node_point(node)
+            return GeoPoint(p.lat + rng.uniform(-1e-4, 1e-4), p.lon + rng.uniform(-1e-4, 1e-4))
+
+        pairs = [(0, 35), (5, 30), (0, 35), (7, 7), (3, 36), (5, 30), (14, 2), (0, 35), (0, 30), (5, 35), (5, 0)]
+        requests = [(near(s), near(t)) for s, t in pairs]
+        for alternates in (1, 3):
+            ledger = RoutingLedger()
+            out = batch_route_multi(net, requests, ledger, alternates=alternates)
+            assert ledger.call_count == len(requests)
+            assert len(out) == len(requests)
+            for (origin, dest), got in zip(requests, out):
+                try:
+                    want = route(net, origin, dest, alternates=alternates)
+                except NoRouteError:
+                    assert got is None
+                    continue
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.nodes == w.nodes
+                    assert g.segment_durations == w.segment_durations
+                    assert g.total_duration == w.total_duration
+        assert out[4] is None
+        assert [r.nodes for r in out[3]] == [[7]]
+        assert any(len(routes) > 1 for routes in out if routes is not None)
+        # requests of one pair share Routes, never the list that holds them
+        first, again = out[0], out[2]
+        assert first is not again and first[0] is again[0]
+        first.append(first[0])
+        assert len(again) == len(out[7]) == len(first) - 1
+
+
+class TestSnapping:
+    def test_exact_ties_go_to_the_lowest_node_id(self):
+        corners = [(0.25, 0.25), (0.25, -0.25), (-0.25, 0.25), (-0.25, -0.25)]
+        for order in itertools.permutations(corners):
+            net = RoadNetwork([c[0] for c in order], [c[1] for c in order], [], [], [], [])
+            d = haversine_km_arrays(net.node_lat, net.node_lon, 0.0, 0.0)
+            assert np.all(d == d[0])  # the centre is exactly as far from every corner
+            assert net.nearest_node(GeoPoint(0.0, 0.0)) == 0
+            midpoint = GeoPoint(order[1][0] / 2 + order[3][0] / 2, order[1][1] / 2 + order[3][1] / 2)
+            if order[1][0] == order[3][0] or order[1][1] == order[3][1]:  # a side, not a diagonal
+                assert net.nearest_node(midpoint) == 1
+
+    @pytest.mark.parametrize("block", [1, 7, 2**18])
+    def test_blocked_snapping_equals_per_point(self, monkeypatch, block):
+        net = build_city_network(30, 30, 500.0, seed=42)
+        u, v = net.edge_u, net.edge_v
+        rng = np.random.default_rng(3)
+        lats = np.concatenate([(net.node_lat[u] + net.node_lat[v]) / 2,
+                               rng.uniform(net.node_lat.min() - 0.01, net.node_lat.max() + 0.01, 500)])
+        lons = np.concatenate([(net.node_lon[u] + net.node_lon[v]) / 2,
+                               rng.uniform(net.node_lon.min() - 0.01, net.node_lon.max() + 0.01, 500)])
+        monkeypatch.setattr(roadnet, "_SNAP_BLOCK", block)
+        got = net.nearest_nodes(lats, lons)
+        ties = 0
+        for i, (lat, lon) in enumerate(zip(lats, lons)):
+            d = haversine_km_arrays(net.node_lat, net.node_lon, lat, lon)
+            nearest = np.flatnonzero(d == d.min())
+            assert got[i] == nearest[0]
+            ties += len(nearest) > 1
+        # edge midpoints on a grid tie exactly between the edge's ends
+        assert ties > 1000
+        assert net.nearest_node(GeoPoint(lats[0], lons[0])) == got[0] == min(u[0], v[0])
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("size", [21, 30])
+    def test_rows_equal_all_pairs_bit_for_bit(self, size):
+        net = build_city_network(size, size, 500.0, seed=size)
+        full = dijkstra(_csr_graph(net.indptr, net.edge_v, net.edge_duration), directed=True)
+        rng = np.random.default_rng(size)
+        first = rng.choice(net.n_nodes, 15, replace=False)
+        second = np.concatenate([first[:5], rng.choice(net.n_nodes, 10, replace=False), first[:2]])
+        for sources in (first, second, [int(first[0])], []):
+            got = net.distance_matrix(sources)
+            assert got.shape == (len(sources), net.n_nodes)
+            assert np.array_equal(got, full[np.asarray(sources, dtype=np.int64)])
+        assert len(net._rows) == len(set(first.tolist()) | set(second.tolist()))
+        assert np.array_equal(net.distance_matrix(), full)
+        assert len(net._rows) == net.n_nodes
+
+    def test_pairwise_utilities_memory_bounded(self):
+        # the full 3600 x 3600 table would take 104 MB
+        net = build_city_network(60, 60, 500.0, seed=5)
+        rides = synth_commute(net, 40, seed=6).rides
+        endpoints = {r.pickup_node for r in rides} | {r.dropoff_node for r in rides}
+        assert len(endpoints) <= 60
+        pairs = np.array(list(itertools.combinations(range(len(rides)), 2)))
+        tracemalloc.start()
+        try:
+            utility = pairwise_utilities(net, rides, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert len(net._rows) == len(endpoints)
+        assert np.any(utility > 0)
 
 
 class TestJsonRoundTrip:
