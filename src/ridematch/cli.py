@@ -8,15 +8,17 @@ routing-call accounting. `match-bench run` executes a JSON config;
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
-import dataclasses
 import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from hashlib import blake2b
+from types import SimpleNamespace
 
 from . import baselines
 from .lshindex import LshConfig, find_potential_matches
@@ -46,58 +48,187 @@ REPORT_COLUMNS = (
     "degenerate_rides",
 )
 
+# The default of a key whose value, when unset, is derived at run time or
+# whose absence selects a behaviour.
+_UNSET = object()
+_NUMBER = (int, float)
 
-# Numeric top-level config fields: (accepted types, valid-range check, what the range is).
-_NUMERIC_FIELDS = {
-    "k": (int, lambda v: v >= 1, ">= 1"),
-    "max_delay_s": ((int, float), lambda v: v > 0, "positive"),
-    "space_precision": (int, lambda v: 1 <= v <= 12, "in [1, 12]"),
-    "time_interval_s": ((int, float), lambda v: v > 0, "positive"),
-    "alternates": (int, lambda v: v >= 1, ">= 1"),
-    "optimal_cap": (int, lambda v: v >= 1, ">= 1"),
-    "seed": (int, None, None),
+
+@dataclass(frozen=True)
+class _Key:
+    """One accepted config key: its accepted types, its range rule (a check and
+    the text that names the range), its default, and the builder argument it
+    sets where that name differs from the key."""
+
+    types: type | tuple
+    default: object = _UNSET
+    rule: tuple[Callable, str] | None = None
+    arg: str | None = None
+
+
+def _at_least(low) -> tuple[Callable, str]:
+    return (lambda v: v >= low), f">= {low}"
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, _NUMBER) and not isinstance(v, bool)
+
+
+def _numbers(count: int, shape: str) -> tuple[Callable, str]:
+    return (lambda v: len(v) == count and all(map(_is_number, v))), f"{count} numbers {shape}"
+
+
+_POSITIVE = ((lambda v: v > 0), "positive")
+
+# Every config section by its dotted path ("" is the top level): each key it
+# accepts. A key whose type is dict and whose path is a section here is checked
+# as that section.
+_SCHEMA: dict[str, dict[str, _Key]] = {
+    "": {
+        "seed": _Key(int, 0),
+        "network": _Key(dict, {}),
+        "scenario": _Key(dict, {}),
+        "loads": _Key(list, [1.0], (
+            lambda v: len(v) > 0 and all(_is_number(x) and 0 < x <= 1 for x in v),
+            "a non-empty list of numbers in (0, 1]",
+        )),
+        "approaches": _Key(list, ["lsh", "closeby", "closeby_haversine"], (
+            lambda v: all(a in APPROACHES for a in v) and len(set(v)) == len(v),
+            f"a list of distinct names from {', '.join(APPROACHES)}",
+        )),
+        "k": _Key(int, 10, _at_least(1)),
+        "max_delay_s": _Key(_NUMBER, 600.0, _POSITIVE),
+        "space_precision": _Key(int, 7, ((lambda v: 1 <= v <= 12), "in [1, 12]")),
+        "time_interval_s": _Key(_NUMBER, 1200.0, _POSITIVE),
+        "lsh": _Key(dict, {}),
+        "baseline": _Key(dict, {}),
+        "alternates": _Key(int, 1, _at_least(1)),
+        "optimal_cap": _Key(int, 3000, _at_least(1)),
+        "timing": _Key(str, "wall", ((lambda v: v in ("wall", "none")), "'wall' or 'none'")),
+    },
+    "network": {
+        "json": _Key(str),
+        "kind": _Key(str, "city", ((lambda v: v in ("city", "grid")), '"city" or "grid"')),
+        "rows": _Key(int, 21, _at_least(2)),
+        "cols": _Key(int, 21, _at_least(2)),
+        "spacing_m": _Key(_NUMBER, 500.0, _POSITIVE),
+        "seed": _Key(int, 42),
+        "arterial_every": _Key(int, 5, _at_least(1)),
+    },
+    "scenario": {
+        "csv": _Key(str, arg="path"),
+        "synth": _Key(dict),
+        "bbox": _Key(list, rule=_numbers(4, "[minlat, minlon, maxlat, maxlon]")),
+        "window": _Key(list, rule=_numbers(2, "[t0, t1] in epoch seconds")),
+        "utc_offset_hours": _Key(_NUMBER, 0.0),
+    },
+    "scenario.synth": {
+        "mode": _Key(str, "morning", ((lambda v: v in ("morning", "evening")), '"morning" or "evening"')),
+        "n": _Key(int, 200, _at_least(1)),
+        "seed": _Key(int),  # derived from the top-level seed when unset
+        "hotspots": _Key(int, 12, _at_least(1), arg="hotspot_count"),
+        "spread_m": _Key(_NUMBER, 100.0, _at_least(0)),
+        "window": _Key(list, (0.0, 7200.0), _numbers(2, "[t0, t1] in seconds")),
+        "pulse_s": _Key((int, float, type(None)), 1200.0, ((lambda v: v is None or v > 0), "positive or null")),
+        "pulse_offset": _Key(_NUMBER, 300.0),
+        "pulse_spread": _Key(_NUMBER, 150.0, _at_least(0)),
+    },
+    "lsh": {
+        "tables": _Key(int, LshConfig.tables, _at_least(1)),
+        "hash_bits": _Key(int, LshConfig.hash_bits, _at_least(1)),
+        "probes": _Key(int, LshConfig.probes, _at_least(1)),
+        "dim": _Key(int, 128, ((lambda v: v >= 2 and v & (v - 1) == 0), "a power of two >= 2")),
+        "cp_dim": _Key(int, LshConfig.cp_dim, _at_least(1)),
+        "m": _Key(int, LshConfig.norm_terms, _at_least(1), arg="norm_terms"),
+        "U": _Key(_NUMBER, LshConfig.max_norm, ((lambda v: 0 < v < 1), "in (0, 1)"), arg="max_norm"),
+        "seed": _Key(int),  # derived from the top-level seed when unset
+        "k": _Key(int, rule=_at_least(1)),  # the top-level k when unset
+        "center": _Key(bool, LshConfig.center),
+    },
+    "baseline": {
+        "m_candidates": _Key(int, baselines.DEFAULT_M_CANDIDATES),
+        "nominal_speed_mps": _Key(_NUMBER, baselines.DEFAULT_NOMINAL_SPEED_MPS, _POSITIVE),
+    },
 }
 
-# Accepted keys of the "lsh" config section -> (the LshConfig field each sets,
-# accepted types, valid-range check, what the range is). cp_dim's upper bound
-# depends on dim and m, so from_dict checks it apart.
-_LSH_FIELDS = {
-    "tables": ("tables", int, lambda v: v >= 1, ">= 1"),
-    "hash_bits": ("hash_bits", int, lambda v: v >= 1, ">= 1"),
-    "probes": ("probes", int, lambda v: v >= 1, ">= 1"),
-    "dim": ("dim", int, lambda v: v >= 2 and v & (v - 1) == 0, "a power of two >= 2"),
-    "cp_dim": ("cp_dim", int, lambda v: v >= 1, ">= 1"),
-    "m": ("norm_terms", int, lambda v: v >= 1, ">= 1"),
-    "U": ("max_norm", (int, float), lambda v: 0 < v < 1, "in (0, 1)"),
-    "seed": ("seed", int, None, None),
-    "k": ("k", int, lambda v: v >= 1, ">= 1"),
-    "center": ("center", bool, None, None),
-}
-# lsh.dim when the config does not set it
-_LSH_DEFAULT_DIM = 128
-
-# Accepted keys of the "network" config section -> (accepted types, valid-range
-# check, what the range is).
-_NETWORK_FIELDS = {
-    "json": (str, None, None),
-    "kind": (str, lambda v: v in ("city", "grid"), '"city" or "grid"'),
-    "rows": (int, lambda v: v >= 2, ">= 2"),
-    "cols": (int, lambda v: v >= 2, ">= 2"),
-    "spacing_m": ((int, float), lambda v: v > 0, "positive"),
-    "seed": (int, None, None),
-    "arterial_every": (int, lambda v: v >= 1, ">= 1"),
+_KINDS = {
+    bool: "a boolean",
+    int: "an integer",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+    _NUMBER: "a number",
+    (int, float, type(None)): "a number or null",
 }
 
 
-def _value_errors(name: str, value, types, in_range, range_text) -> list[str]:
+def _value_errors(name: str, value, key: _Key) -> list[str]:
     """The config error of one value, if any. A bool passes only where bool
     is the type asked for."""
-    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
-        kind = {bool: "a boolean", int: "an integer", str: "a string"}.get(types, "a number")
-        return [f"{name} must be {kind}, got {value!r}"]
-    if in_range is not None and not in_range(value):
-        return [f"{name} must be {range_text}, got {value!r}"]
+    if isinstance(value, bool) != (key.types is bool) or not isinstance(value, key.types):
+        return [f"{name} must be {_KINDS[key.types]}, got {value!r}"]
+    if key.rule is not None and not key.rule[0](value):
+        return [f"{name} must be {key.rule[1]}, got {value!r}"]
     return []
+
+
+def _section_errors(section: str, values: dict) -> list[str]:
+    """Every error in the keys and values of one config section (its dotted
+    path; "" is the top level) and of the sections nested in it."""
+    schema = _SCHEMA[section]
+    errors = []
+    for key, value in values.items():
+        name = f"{section}.{key}" if section else key
+        if key not in schema:
+            errors.append(f"unknown {section or 'config'} key {key!r} (choose from {', '.join(schema)})")
+            continue
+        found = _value_errors(name, value, schema[key])
+        errors += found
+        if not found and name in _SCHEMA:
+            errors += _section_errors(name, value)
+    return errors
+
+
+def _valid(section: str, values: dict, *keys) -> bool:
+    """True when each of keys that values holds has a valid value."""
+    return not _section_errors(section, {key: values[key] for key in keys if key in values})
+
+
+def _cross_field_errors(raw: dict) -> list[str]:
+    """Errors of the rules that tie one key to another. Each is judged only
+    when the keys it reads are valid on their own."""
+    errors = []
+    scenario = raw.get("scenario", {})
+    if isinstance(scenario, dict):
+        if ("synth" in scenario) == ("csv" in scenario):
+            errors.append("scenario must contain exactly one of 'synth' or 'csv'")
+        if "csv" in scenario:
+            if "bbox" not in scenario:
+                errors.append("csv scenario requires bbox [minlat, minlon, maxlat, maxlon]")
+            if "window" not in scenario:
+                errors.append("csv scenario requires window [t0, t1] in epoch seconds")
+    lsh = raw.get("lsh")
+    if isinstance(lsh, dict) and "cp_dim" in lsh and _valid("lsh", lsh, "cp_dim", "dim", "m"):
+        # the index hashes dim + m coordinates, zero-padded to a power of two
+        width = sum(lsh.get(key, _SCHEMA["lsh"][key].default) for key in ("dim", "m"))
+        top = 1 << (width - 1).bit_length()
+        if lsh["cp_dim"] > top:
+            errors.append(f"lsh.cp_dim must be in [1, {top}] (the padded width of dim + m), got {lsh['cp_dim']}")
+    baseline = raw.get("baseline")
+    if isinstance(baseline, dict) and "m_candidates" in baseline and _valid("baseline", baseline, "m_candidates"):
+        k = raw.get("k", _SCHEMA[""]["k"].default)
+        if _valid("", raw, "k") and baseline["m_candidates"] < k:
+            errors.append(f"baseline.m_candidates must be >= k ({k}), got {baseline['m_candidates']}")
+    return errors
+
+
+def _args(section: str, values: dict) -> dict:
+    """A checked config section merged over its defaults, keyed by the
+    builder argument each key sets. Unset keys without a default are left out."""
+    schema = _SCHEMA[section]
+    merged = {key: spec.default for key, spec in schema.items() if spec.default is not _UNSET}
+    merged.update(values)
+    return {schema[key].arg or key: value for key, value in merged.items()}
 
 
 class ConfigError(ValueError):
@@ -106,98 +237,19 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
-@dataclass
-class ExperimentConfig:
-    seed: int = 0
-    network: dict = field(default_factory=lambda: {"rows": 12, "cols": 12, "spacing_m": 500.0, "seed": 42})
-    scenario: dict = field(default_factory=dict)
-    loads: list[float] = field(default_factory=lambda: [1.0])
-    approaches: list[str] = field(default_factory=lambda: ["lsh", "closeby", "closeby_haversine"])
-    k: int = 10
-    max_delay_s: float = 600.0
-    space_precision: int = 7
-    time_interval_s: float = 1200.0
-    lsh: dict = field(default_factory=dict)
-    baseline: dict = field(default_factory=dict)
-    alternates: int = 1
-    optimal_cap: int = 3000
-    timing: str = "wall"
+class ExperimentConfig(SimpleNamespace):
+    """A checked `match-bench run` config: one attribute per top-level key of
+    `_SCHEMA[""]`, holding the value given or the key's default."""
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        errors = []
-        known = {f.name for f in dataclasses.fields(cls)}
-        for key in raw:
-            if key not in known:
-                errors.append(f"unknown config key {key!r}")
-        cfg = cls(**{k: v for k, v in raw.items() if k in known})
-        scenario = cfg.scenario or {}
-        if ("synth" in scenario) == ("csv" in scenario):
-            errors.append("scenario must contain exactly one of 'synth' or 'csv'")
-        if "csv" in scenario:
-            if "bbox" not in scenario or len(scenario.get("bbox", [])) != 4:
-                errors.append("csv scenario requires bbox [minlat, minlon, maxlat, maxlon]")
-            if "window" not in scenario or len(scenario.get("window", [])) != 2:
-                errors.append("csv scenario requires window [t0, t1] in epoch seconds")
-        if not cfg.loads:
-            errors.append("loads must not be empty")
-        for ld in cfg.loads:
-            if not isinstance(ld, (int, float)) or not 0.0 < ld <= 1.0:
-                errors.append(f"load {ld!r} outside (0, 1]")
-        for name, spec in _NUMERIC_FIELDS.items():
-            errors += _value_errors(name, getattr(cfg, name), *spec)
-        for a in cfg.approaches:
-            if a not in APPROACHES:
-                errors.append(f"unknown approach {a!r} (choose from {', '.join(APPROACHES)})")
-        errors += _lsh_errors(cfg.lsh)
-        if cfg.timing not in ("wall", "none"):
-            errors.append(f"timing must be 'wall' or 'none', got {cfg.timing!r}")
-        errors += _section_errors("network", cfg.network, _NETWORK_FIELDS)
-        # m_candidates is held to k only when k itself is valid
-        k = None if _value_errors("k", cfg.k, *_NUMERIC_FIELDS["k"]) else cfg.k
-        baseline_checks = {
-            "m_candidates": (int, None if k is None else lambda v: v >= k, f">= k ({k})"),
-            "nominal_speed_mps": ((int, float), lambda v: v > 0, "positive"),
-        }
-        errors += _section_errors("baseline", cfg.baseline, baseline_checks)
+        errors = _section_errors("", raw) + _cross_field_errors(raw)
         if errors:
             raise ConfigError(errors)
-        return cfg
+        return cls(**copy.deepcopy(_args("", raw)))
 
     def lsh_config(self) -> LshConfig:
-        fields = {"dim": _LSH_DEFAULT_DIM, "seed": _stage_seed(self.seed, "lsh"), "k": self.k}
-        fields.update((_LSH_FIELDS[key][0], value) for key, value in self.lsh.items())
-        return LshConfig(**fields)
-
-
-def _section_errors(section: str, values, checks: dict) -> list[str]:
-    """Every error in the keys and values of one config section; checks maps
-    each accepted key to (accepted types, valid-range check, what the range is)."""
-    if not isinstance(values, dict):
-        return [f"{section} must be an object, got {values!r}"]
-    errors = []
-    for key, value in values.items():
-        if key in checks:
-            errors += _value_errors(f"{section}.{key}", value, *checks[key])
-        else:
-            errors.append(f"unknown {section} key {key!r} (choose from {', '.join(checks)})")
-    return errors
-
-
-def _lsh_errors(lsh) -> list[str]:
-    """Every error in the "lsh" config section."""
-    checks = {key: spec[1:] for key, spec in _LSH_FIELDS.items()}
-    errors = _section_errors("lsh", lsh, checks)
-    if not isinstance(lsh, dict) or "cp_dim" not in lsh:
-        return errors
-    if not any(_value_errors(key, lsh[key], *checks[key]) for key in ("cp_dim", "dim", "m") if key in lsh):
-        # the index hashes dim + m coordinates, zero-padded to a power of two
-        width = lsh.get("dim", _LSH_DEFAULT_DIM) + lsh.get("m", LshConfig.norm_terms)
-        top = 1 << (width - 1).bit_length()
-        cp_dim = lsh["cp_dim"]
-        if cp_dim > top:
-            errors.append(f"lsh.cp_dim must be in [1, {top}] (the padded width of dim + m), got {cp_dim}")
-    return errors
+        return LshConfig(**{"seed": _stage_seed(self.seed, "lsh"), "k": self.k, **_args("lsh", self.lsh)})
 
 
 @dataclass
@@ -211,157 +263,108 @@ def _stage_seed(seed: int, *labels) -> int:
     return int.from_bytes(blake2b(repr(labels).encode(), digest_size=8, key=key).digest()[:7], "big")
 
 
-def _build_net(cfg: ExperimentConfig) -> RoadNetwork:
-    nd = cfg.network
-    if "json" in nd:
-        return RoadNetwork.load_json(nd["json"])
-    if nd.get("kind", "city") == "grid":
-        return build_grid_network(
-            rows=nd.get("rows", 21),
-            cols=nd.get("cols", 21),
-            spacing_m=nd.get("spacing_m", 500.0),
-            speed_jitter_seed=nd.get("seed", 42),
-        )
-    return build_city_network(
-        rows=nd.get("rows", 21),
-        cols=nd.get("cols", 21),
-        spacing_m=nd.get("spacing_m", 500.0),
-        seed=nd.get("seed", 42),
-        arterial_every=nd.get("arterial_every", 5),
-    )
+def _build_net(network: dict) -> RoadNetwork:
+    """The road network of a checked `network` section."""
+    args = _args("network", network)
+    if "json" in args:
+        return RoadNetwork.load_json(args["json"])
+    if args.pop("kind") == "grid":
+        return build_grid_network(args["rows"], args["cols"], args["spacing_m"], speed_jitter_seed=args["seed"])
+    return build_city_network(**args)
 
 
 def _build_workload(cfg: ExperimentConfig, net: RoadNetwork, ledger: RoutingLedger) -> Workload:
-    sc = cfg.scenario
-    if "csv" in sc:
-        return load_trips_csv(
-            sc["csv"],
-            bbox=tuple(sc["bbox"]),
-            window=tuple(sc["window"]),
-            net=net,
-            ledger=ledger,
-            utc_offset_hours=sc.get("utc_offset_hours", 0.0),
-            alternates=cfg.alternates,
-        )
-    sy = sc["synth"]
-    return synth_commute(
-        net,
-        n=sy.get("n", 200),
-        hotspot_count=sy.get("hotspots", 12),
-        spread_m=sy.get("spread_m", 100.0),
-        window=tuple(sy.get("window", (0.0, 7200.0))),
-        seed=sy.get("seed", _stage_seed(cfg.seed, "synth")),
-        mode=sy.get("mode", "morning"),
-        ledger=ledger,
-        alternates=cfg.alternates,
-        pulse_s=sy.get("pulse_s", 1200.0),
-        pulse_offset=sy.get("pulse_offset", 300.0),
-        pulse_spread=sy.get("pulse_spread", 150.0),
-    )
+    args = _args("scenario", cfg.scenario)
+    if "path" in args:
+        return load_trips_csv(**args, net=net, ledger=ledger, alternates=cfg.alternates)
+    synth = {"seed": _stage_seed(cfg.seed, "synth"), **_args("scenario.synth", args["synth"])}
+    return synth_commute(net, **synth, ledger=ledger, alternates=cfg.alternates)
 
 
-def _proposal_stage(approach, rides, cfg, net):
+def _proposal_stage(approach, rides, cfg):
     """Run one approach's search phase; returns (proposals, lsh summary or None)."""
     if approach == "lsh":
-        matches, summary = find_potential_matches(
-            rides, cfg.lsh_config(), cfg.space_precision, cfg.time_interval_s
-        )
-        return matches, summary
-    bl = cfg.baseline
-    speed = bl.get("nominal_speed_mps", baselines.DEFAULT_NOMINAL_SPEED_MPS)
+        return find_potential_matches(rides, cfg.lsh_config(), cfg.space_precision, cfg.time_interval_s)
+    bl = _args("baseline", cfg.baseline)
     if approach == "closeby":
         return baselines.closeby(rides, cfg.k), None
     if approach == "haversine":
-        return baselines.haversine_topk(rides, cfg.k, cfg.max_delay_s, speed), None
+        return baselines.haversine_topk(rides, cfg.k, cfg.max_delay_s, bl["nominal_speed_mps"]), None
     if approach == "closeby_haversine":
-        m = bl.get("m_candidates", baselines.DEFAULT_M_CANDIDATES)
-        return baselines.closeby_haversine(rides, cfg.k, m, cfg.max_delay_s, speed), None
+        return baselines.closeby_haversine(rides, cfg.k, max_delay_s=cfg.max_delay_s, **bl), None
     raise ValueError(f"unknown approach {approach!r}")
+
+
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000.0
+
+
+def _measure(approach, rides, cfg, net) -> dict:
+    """The measured columns of one approach's row: search, network build and
+    exact matching (optimal matches the complete network, so its search time
+    is 0 and its build time includes matching). Raises what the approach raises."""
+    n = len(rides)
+    ledger = RoutingLedger()
+    ledger.charge(n)
+    t0 = time.perf_counter()
+    if approach == "optimal":
+        result = optimal_utility(rides, net, cfg.max_delay_s, ledger, cap=cfg.optimal_cap)
+        row = {"search_ms": 0.0, "network_build_ms": _ms_since(t0), "evaluated_pairs": n * (n - 1) // 2}
+    else:
+        proposals, summary = _proposal_stage(approach, rides, cfg)
+        search_ms = _ms_since(t0)
+        t0 = time.perf_counter()
+        g = build_network(rides, proposals, net, cfg.max_delay_s, ledger)
+        row = {
+            "search_ms": search_ms,
+            "network_build_ms": _ms_since(t0),
+            "evaluated_pairs": g.evaluated_pairs,
+            "network_edges": len(g.edges),
+            "mean_candidates": summary.mean_candidates if summary else None,
+            "degenerate_rides": len(summary.degenerate_ids) if summary else None,
+        }
+        result = max_weight_matching(g)
+    if cfg.timing == "none":
+        row.update(search_ms=0.0, network_build_ms=0.0)
+    row.update(
+        total_utility_s=result.total_utility,
+        routing_calls=ledger.call_count,
+        routing_batches=ledger.batch_count,
+        routing_latency_ms=ledger.simulated_latency_ms,
+        matched_pairs=len(result.pairs),
+    )
+    return row
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute every (load, approach) cell; failures are isolated per approach."""
-    wall = cfg.timing == "wall"
-    net = _build_net(cfg)
+    net = _build_net(cfg.network)
     ingest_ledger = RoutingLedger()
     workload = _build_workload(cfg, net, ingest_ledger)
     rows = []
     for load in cfg.loads:
-        sub = subsample(workload, float(load), seed=_stage_seed(cfg.seed, "subsample", load))
-        rides = sub.rides
-        n = len(rides)
-        optimal_total = None
-        optimal_row = None
-        if "optimal" in cfg.approaches:
-            ledger = RoutingLedger()
-            ledger.charge(n)
-            optimal_row = {
-                "scenario": workload.label,
-                "load": float(load),
-                "approach": "optimal",
-                "status": "ok",
-                "n_rides": n,
-            }
-            try:
-                t0 = time.perf_counter()
-                result = optimal_utility(rides, net, cfg.max_delay_s, ledger, cap=cfg.optimal_cap)
-                dt_ms = (time.perf_counter() - t0) * 1000.0
-                optimal_total = result.total_utility
-                optimal_row.update(
-                    total_utility_s=result.total_utility,
-                    utility_fraction_of_optimal=1.0,
-                    search_ms=0.0,
-                    network_build_ms=dt_ms if wall else 0.0,
-                    routing_calls=ledger.call_count,
-                    routing_batches=ledger.batch_count,
-                    routing_latency_ms=ledger.simulated_latency_ms,
-                    evaluated_pairs=n * (n - 1) // 2,
-                    network_edges=None,
-                    matched_pairs=len(result.pairs),
-                    mean_candidates=None,
-                    degenerate_rides=None,
-                )
-            except Exception as exc:  # isolate approach failures
-                optimal_row["status"] = f"failed: {type(exc).__name__}: {exc}"
-        for approach in cfg.approaches:
-            if approach == "optimal":
-                rows.append(optimal_row)
-                continue
+        rides = subsample(workload, float(load), seed=_stage_seed(cfg.seed, "subsample", load)).rides
+        by_approach = {}
+        # optimal runs first: its total is every fraction's denominator, and
+        # it fills the network's distance memo for the others
+        for approach in sorted(cfg.approaches, key=lambda a: a != "optimal"):
             row = {
                 "scenario": workload.label,
                 "load": float(load),
                 "approach": approach,
                 "status": "ok",
-                "n_rides": n,
+                "n_rides": len(rides),
             }
-            ledger = RoutingLedger()
-            ledger.charge(n)
             try:
-                t0 = time.perf_counter()
-                proposals, summary = _proposal_stage(approach, rides, cfg, net)
-                search_ms = (time.perf_counter() - t0) * 1000.0
-                t0 = time.perf_counter()
-                g = build_network(rides, proposals, net, cfg.max_delay_s, ledger, provenance=approach)
-                build_ms = (time.perf_counter() - t0) * 1000.0
-                result = max_weight_matching(g)
-                row.update(
-                    total_utility_s=result.total_utility,
-                    utility_fraction_of_optimal=(
-                        None if not optimal_total else result.total_utility / optimal_total
-                    ),
-                    search_ms=search_ms if wall else 0.0,
-                    network_build_ms=build_ms if wall else 0.0,
-                    routing_calls=ledger.call_count,
-                    routing_batches=ledger.batch_count,
-                    routing_latency_ms=ledger.simulated_latency_ms,
-                    evaluated_pairs=g.evaluated_pairs,
-                    network_edges=len(g.edges),
-                    matched_pairs=len(result.pairs),
-                    mean_candidates=summary.mean_candidates if summary else None,
-                    degenerate_rides=len(summary.degenerate_ids) if summary else None,
-                )
-            except Exception as exc:
+                row.update(_measure(approach, rides, cfg, net))
+            except Exception as exc:  # isolate approach failures
                 row["status"] = f"failed: {type(exc).__name__}: {exc}"
+            by_approach[approach] = row
+        optimal_total = by_approach.get("optimal", {}).get("total_utility_s")
+        for approach in cfg.approaches:
+            row = by_approach[approach]
+            if optimal_total and "total_utility_s" in row:
+                row["utility_fraction_of_optimal"] = row["total_utility_s"] / optimal_total
             rows.append(row)
     meta = {
         "scenario": workload.label,
@@ -469,7 +472,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    net = build_city_network(args.rows, args.cols, args.spacing_m, args.net_seed)
+    net = _build_net({"rows": args.rows, "cols": args.cols, "spacing_m": args.spacing_m, "seed": args.net_seed})
     t0 = parse_taxi_datetime(args.window_start, args.utc_offset_hours)
     w = synth_commute(
         net,
@@ -499,20 +502,23 @@ def main(argv=None) -> int:
         "--synth", choices=("morning", "evening"), help="override scenario with a synth mode"
     )
 
+    # the defaults of a config's network and synth sections, so the trips fit the default city
+    network, synth = _SCHEMA["network"], _SCHEMA["scenario.synth"]
+    window = synth["window"].default
     p_synth = sub.add_parser("synth", help="write a synthetic commute workload as a trips CSV")
-    p_synth.add_argument("--mode", choices=("morning", "evening"), default="morning")
-    p_synth.add_argument("--n", type=int, default=200)
+    p_synth.add_argument("--mode", choices=("morning", "evening"), default=synth["mode"].default)
+    p_synth.add_argument("--n", type=int, default=synth["n"].default)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--rows", type=int, default=21)
-    p_synth.add_argument("--cols", type=int, default=21)
-    p_synth.add_argument("--spacing-m", type=float, default=500.0)
-    p_synth.add_argument("--net-seed", type=int, default=42)
-    p_synth.add_argument("--hotspots", type=int, default=12)
-    p_synth.add_argument("--spread-m", type=float, default=100.0)
+    p_synth.add_argument("--rows", type=int, default=network["rows"].default)
+    p_synth.add_argument("--cols", type=int, default=network["cols"].default)
+    p_synth.add_argument("--spacing-m", type=float, default=network["spacing_m"].default)
+    p_synth.add_argument("--net-seed", type=int, default=network["seed"].default)
+    p_synth.add_argument("--hotspots", type=int, default=synth["hotspots"].default)
+    p_synth.add_argument("--spread-m", type=float, default=synth["spread_m"].default)
     p_synth.add_argument("--window-start", default="2016-06-08 07:00:00")
-    p_synth.add_argument("--window-s", type=float, default=7200.0)
-    p_synth.add_argument("--utc-offset-hours", type=float, default=0.0)
+    p_synth.add_argument("--window-s", type=float, default=window[1] - window[0])
+    p_synth.add_argument("--utc-offset-hours", type=float, default=_SCHEMA["scenario"]["utc_offset_hours"].default)
 
     args = parser.parse_args(argv)
     try:

@@ -8,7 +8,7 @@ matching instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -23,7 +23,6 @@ from .utility import DEFAULT_MAX_DELAY_S, pairwise_utilities
 class ShareabilityNetwork:
     nodes: list[int]
     edges: list[tuple[int, int, float]]  # (u, v, weight seconds), u < v, weight > 0
-    provenance: dict[tuple[int, int], str] = field(default_factory=dict)
     evaluated_pairs: int = 0
 
 
@@ -40,7 +39,6 @@ def build_network(
     net: RoadNetwork,
     max_delay_s: float = DEFAULT_MAX_DELAY_S,
     ledger: RoutingLedger | None = None,
-    provenance: str = "",
 ) -> ShareabilityNetwork:
     """Symmetrize proposals, weight each distinct pair exactly, drop zeros.
 
@@ -65,21 +63,8 @@ def build_network(
         return ShareabilityNetwork(nodes=nodes, edges=[], evaluated_pairs=0)
     pair_idx = np.array([[idx_of[u], idx_of[v]] for u, v in pairs], dtype=np.int64)
     weights = pairwise_utilities(net, rides, pair_idx, max_delay_s, ledger)
-    edges = []
-    prov = {}
-    for (u, v), w in zip(pairs, weights):
-        if w > 0.0:
-            edges.append((u, v, float(w)))
-            prov[(u, v)] = provenance
-    return ShareabilityNetwork(nodes=nodes, edges=edges, provenance=prov, evaluated_pairs=len(pairs))
-
-
-def dump_network_csv(g: ShareabilityNetwork, path) -> None:
-    """Debug dump: one `u,v,weight_s,provenance` line per edge."""
-    with open(path, "w") as f:
-        f.write("u,v,weight_s,provenance\n")
-        for u, v, w in g.edges:
-            f.write(f"{u},{v},{w:.6g},{g.provenance.get((u, v), '')}\n")
+    edges = [(u, v, float(w)) for (u, v), w in zip(pairs, weights) if w > 0.0]
+    return ShareabilityNetwork(nodes=nodes, edges=edges, evaluated_pairs=len(pairs))
 
 
 def max_weight_matching(g: ShareabilityNetwork) -> MatchingResult:

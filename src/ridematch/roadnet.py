@@ -12,6 +12,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -135,8 +136,13 @@ class RoadNetwork:
         # Demand anchor nodes (set by builders that know the city structure).
         self.hubs: np.ndarray | None = None
 
+    @cached_property
+    def _points(self) -> list[GeoPoint]:
+        """Every node's point, built once on first use: routes share them."""
+        return [GeoPoint(lat, lon) for lat, lon in zip(self.node_lat.tolist(), self.node_lon.tolist())]
+
     def node_point(self, i: int) -> GeoPoint:
-        return GeoPoint(float(self.node_lat[i]), float(self.node_lon[i]))
+        return self._points[i]
 
     def nearest_node(self, p: GeoPoint) -> int:
         return int(self.nearest_nodes([p.lat], [p.lon])[0])

@@ -1,10 +1,12 @@
 import csv
+import inspect
 import io
 import json
 from pathlib import Path
 
 import pytest
 
+from ridematch import cli
 from ridematch.cli import (
     ConfigError,
     ExperimentConfig,
@@ -16,6 +18,7 @@ from ridematch.cli import (
     ExperimentReport,
 )
 from ridematch.lshindex import LshConfig
+from ridematch.roadnet import RoutingLedger
 
 DATA = Path(__file__).parent / "data"
 
@@ -78,6 +81,42 @@ class TestConfigValidation:
             tables=3, hash_bits=5, probes=2, dim=32, cp_dim=4,
             norm_terms=3, max_norm=0.5, seed=99, k=7, center=True,
         )
+
+    def test_every_network_and_synth_key_reaches_its_argument(self, monkeypatch):
+        calls = {}
+        for name in ("build_city_network", "build_grid_network", "synth_commute"):
+            def record(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls[_name] = inspect.signature(_fn).bind(*args, **kwargs).arguments
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, record)
+        network = {"rows": 8, "cols": 9, "spacing_m": 400.0, "seed": 5, "arterial_every": 4}
+        synth = {
+            "mode": "evening", "n": 12, "seed": 9, "hotspots": 3, "spread_m": 50.0,
+            "window": [100.0, 4000.0], "pulse_s": None, "pulse_offset": 10.0, "pulse_spread": 20.0,
+        }
+        raw = json.loads((DATA / "fixture_config.json").read_text())
+        raw["network"] = {"kind": "city", **network}
+        raw["scenario"] = {"synth": synth}
+        cfg = ExperimentConfig.from_dict(raw)
+        workload = cli._build_workload(cfg, cli._build_net(cfg.network), RoutingLedger())
+        assert len(workload.rides) == 12
+        city = calls["build_city_network"]
+        assert {key: city[key] for key in network} == network
+        arg = {"hotspots": "hotspot_count"}
+        assert {key: calls["synth_commute"][arg.get(key, key)] for key in synth} == synth
+        raw["network"] = {"kind": "grid", "rows": 3, "cols": 4, "spacing_m": 250.0, "seed": 6}
+        cli._build_net(ExperimentConfig.from_dict(raw).network)
+        grid = calls["build_grid_network"]
+        assert (grid["rows"], grid["cols"], grid["spacing_m"], grid["speed_jitter_seed"]) == (3, 4, 250.0, 6)
+
+    def test_network_default_is_the_21x21_city(self, city21):
+        raw = json.loads((DATA / "fixture_config.json").read_text())
+        raw["scenario"] = {"synth": {"n": 5}}
+        raw["network"] = {}
+        with_empty = cli._build_net(ExperimentConfig.from_dict(raw).network)
+        del raw["network"]
+        without = cli._build_net(ExperimentConfig.from_dict(raw).network)
+        assert without.to_dict() == with_empty.to_dict() == city21.to_dict()
 
     def test_unknown_lsh_key_rejected_with_other_errors(self):
         raw = json.loads((DATA / "fixture_config.json").read_text())
@@ -254,6 +293,26 @@ class TestMain:
         ):
             raw = json.loads((DATA / "fixture_config.json").read_text())
             raw[section][key] = value
+            cfg_path.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(cfg_path)]) == 2
+            assert f"config error: {message}" in capsys.readouterr().err
+        csv_scenario = json.loads((DATA / "fixture_config.json").read_text())["scenario"]
+        for key, value, message in (
+            ("scenario", {**csv_scenario, "bbox": 5}, "scenario.bbox must be a list, got 5"),
+            ("scenario", {**csv_scenario, "bbox": ["a", "b", "c", "d"]},
+             "scenario.bbox must be 4 numbers [minlat, minlon, maxlat, maxlon], got ['a', 'b', 'c', 'd']"),
+            ("scenario", {**csv_scenario, "utc_offset_hours": "x"},
+             "scenario.utc_offset_hours must be a number, got 'x'"),
+            ("scenario", {**csv_scenario, "utc_ofset_hours": 1.0}, "unknown scenario key 'utc_ofset_hours'"),
+            ("scenario", {"synth": {"n": "30"}}, "scenario.synth.n must be an integer, got '30'"),
+            ("scenario", {"synth": {"window": 5}}, "scenario.synth.window must be a list, got 5"),
+            ("scenario", {"synth": []}, "scenario.synth must be an object, got []"),
+            ("scenario", {"synth": {"hotspot_count": 3}}, "unknown scenario.synth key 'hotspot_count'"),
+            ("loads", 5, "loads must be a list, got 5"),
+            ("approaches", 5, "approaches must be a list, got 5"),
+        ):
+            raw = json.loads((DATA / "fixture_config.json").read_text())
+            raw[key] = value
             cfg_path.write_text(json.dumps(raw))
             assert main(["run", "--config", str(cfg_path)]) == 2
             assert f"config error: {message}" in capsys.readouterr().err

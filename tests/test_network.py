@@ -14,7 +14,6 @@ from ridematch.network import (
     _blossom,
     _certify,
     build_network,
-    dump_network_csv,
     greedy_matching,
     max_weight_matching,
     optimal_utility,
@@ -82,12 +81,11 @@ class TestBuildNetwork:
     def test_weights_are_exact_utilities(self, city21, small_workload):
         rides = small_workload.rides
         proposals = closeby(rides, 4)
-        g = build_network(rides, proposals, city21, provenance="closeby")
+        g = build_network(rides, proposals, city21)
         by_id = {r.id: r for r in rides}
         for u, v, w in g.edges[:40]:
             assert w == pytest.approx(matching_utility(by_id[u], by_id[v], city21), abs=1e-12)
             assert w > 0
-            assert g.provenance[(u, v)] == "closeby"
 
     def test_ledger_counts_nodes_plus_six_edges(self, city21):
         ledger = RoutingLedger()
@@ -100,18 +98,6 @@ class TestBuildNetwork:
     def test_unknown_ride_rejected(self, city21, small_workload):
         with pytest.raises(ValueError):
             build_network(small_workload.rides, {small_workload.rides[0].id: [10**9]}, city21)
-
-    def test_dump_csv(self, city21, small_workload, tmp_path):
-        proposals = closeby(small_workload.rides, 3)
-        g = build_network(small_workload.rides, proposals, city21, provenance="closeby")
-        path = tmp_path / "net.csv"
-        dump_network_csv(g, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "u,v,weight_s,provenance"
-        assert len(lines) == len(g.edges) + 1
-        u, v, w, prov = lines[1].split(",")
-        assert prov == "closeby"
-        assert float(w) > 0
 
 
 class TestMaxWeightMatching:
