@@ -445,26 +445,23 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config) as f:
             raw = json.load(f)
-        if args.trips:
-            scenario = dict(raw.get("scenario", {}))
-            scenario.pop("synth", None)
-            scenario["csv"] = args.trips
-            raw["scenario"] = scenario
-        elif args.synth:
-            scenario = dict(raw.get("scenario", {}))
-            synth = dict(scenario.get("synth", {}))
-            synth["mode"] = args.synth
-            raw["scenario"] = {"synth": synth}
-        _resolve_paths(raw, args.config)
-        cfg = ExperimentConfig.from_dict(raw)
-    except ConfigError as exc:
-        for e in exc.errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = run_experiment(cfg)
+    if not isinstance(raw, dict):
+        raise ConfigError([f"the config must be an object, got {raw!r}"])
+    if args.trips:
+        scenario = dict(raw.get("scenario", {}))
+        scenario.pop("synth", None)
+        scenario["csv"] = args.trips
+        raw["scenario"] = scenario
+    elif args.synth:
+        scenario = dict(raw.get("scenario", {}))
+        synth = dict(scenario.get("synth", {}))
+        synth["mode"] = args.synth
+        raw["scenario"] = {"synth": synth}
+    _resolve_paths(raw, args.config)
+    report = run_experiment(ExperimentConfig.from_dict(raw))
     text = emit_report(report, args.format, args.out)
     if args.out is None:
         sys.stdout.write(text)
@@ -472,17 +469,22 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    net = _build_net({"rows": args.rows, "cols": args.cols, "spacing_m": args.spacing_m, "seed": args.net_seed})
+    """Write a synth workload; the flags are checked as a config's network and
+    scenario.synth sections."""
+    network = {"rows": args.rows, "cols": args.cols, "spacing_m": args.spacing_m, "seed": args.net_seed}
     t0 = parse_taxi_datetime(args.window_start, args.utc_offset_hours)
-    w = synth_commute(
-        net,
-        n=args.n,
-        hotspot_count=args.hotspots,
-        spread_m=args.spread_m,
-        window=(t0, t0 + args.window_s),
-        seed=args.seed,
-        mode=args.mode,
-    )
+    synth = {
+        "mode": args.mode,
+        "n": args.n,
+        "seed": args.seed,
+        "hotspots": args.hotspots,
+        "spread_m": args.spread_m,
+        "window": [t0, t0 + args.window_s],
+    }
+    errors = _section_errors("network", network) + _section_errors("scenario.synth", synth)
+    if errors:
+        raise ConfigError(errors)
+    w = synth_commute(_build_net(network), **_args("scenario.synth", synth))
     write_trips_csv(w, args.out, args.utc_offset_hours)
     print(f"wrote {len(w.rides)} rides to {args.out}")
     return 0
@@ -525,6 +527,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_synth(args)
+    except ConfigError as exc:
+        for e in exc.errors:
+            print(f"config error: {e}", file=sys.stderr)
+        return 2
     except Exception as exc:  # runtime failure contract: exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

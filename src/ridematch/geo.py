@@ -11,7 +11,6 @@ import numpy as np
 EARTH_RADIUS_KM = 6371.0
 
 GEOHASH_ALPHABET = "0123456789bcdefghjkmnpqrstuvwxyz"
-_ALPHABET_INDEX = {c: i for i, c in enumerate(GEOHASH_ALPHABET)}
 
 # A cell id is a geohash string over GEOHASH_ALPHABET whose length equals the
 # encoding precision; a time bucket is floor(epoch_seconds / interval_seconds),
@@ -92,39 +91,6 @@ def geohash_encode(p: GeoPoint, precision: int) -> CellId:
             ch = 0
             bit = 0
     return "".join(chars)
-
-
-def geohash_bounds(code: CellId) -> tuple[float, float, float, float]:
-    """Bounding box (lat_lo, lat_hi, lon_lo, lon_hi) of a geohash cell."""
-    lat_lo, lat_hi = -90.0, 90.0
-    lon_lo, lon_hi = -180.0, 180.0
-    even = True
-    for c in code:
-        try:
-            val = _ALPHABET_INDEX[c]
-        except KeyError:
-            raise ValueError(f"invalid geohash character {c!r}") from None
-        for shift in range(4, -1, -1):
-            b = (val >> shift) & 1
-            if even:
-                mid = (lon_lo + lon_hi) / 2.0
-                if b:
-                    lon_lo = mid
-                else:
-                    lon_hi = mid
-            else:
-                mid = (lat_lo + lat_hi) / 2.0
-                if b:
-                    lat_lo = mid
-                else:
-                    lat_hi = mid
-            even = not even
-    return lat_lo, lat_hi, lon_lo, lon_hi
-
-
-def geohash_center(code: CellId) -> GeoPoint:
-    lat_lo, lat_hi, lon_lo, lon_hi = geohash_bounds(code)
-    return GeoPoint((lat_lo + lat_hi) / 2.0, (lon_lo + lon_hi) / 2.0)
 
 
 def time_bucket(t: float, interval_s: float) -> TimeBucket:

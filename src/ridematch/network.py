@@ -522,7 +522,8 @@ def _certify(eu, ev, ew, matched, u, blossoms) -> None:
 
 
 def greedy_matching(g: ShareabilityNetwork) -> MatchingResult:
-    """1/2-approximate fallback for timing runs beyond the exact-matching cap."""
+    """Greedy matching by descending weight (ties by (u, v)): a lower bound on
+    the maximum-weight total, at least half of it."""
     seen: set[int] = set()
     pairs = []
     total = 0.0
@@ -541,14 +542,13 @@ def optimal_utility(
     max_delay_s: float = DEFAULT_MAX_DELAY_S,
     ledger: RoutingLedger | None = None,
     cap: int = 3000,
-    greedy: bool = False,
 ) -> MatchingResult:
     """Matching over the complete pairwise network: the unbounded-time optimum."""
     n = len(rides)
-    if n > cap and not greedy:
+    if n > cap:
         raise ValueError(
             f"optimal baseline is O(n^2) and capped at {cap} rides (got {n}); "
-            "lower the load or pass greedy=True for a timing-only run"
+            "lower the load or raise optimal_cap"
         )
     iu, ju = np.triu_indices(n, k=1)
     pairs = np.stack([iu, ju], axis=1)
@@ -561,4 +561,4 @@ def optimal_utility(
     a, b = ids[iu[keep]], ids[ju[keep]]
     edges = list(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist(), weights[keep].tolist()))
     g = ShareabilityNetwork(nodes=ids.tolist(), edges=edges, evaluated_pairs=len(pairs))
-    return greedy_matching(g) if greedy else max_weight_matching(g)
+    return max_weight_matching(g)

@@ -135,8 +135,6 @@ def normalize_dataset(vectors, max_norm: float = 0.75):
     fixed query. Returns (scaled (n, d) array, scale factor).
     """
     mat = np.asarray(vectors, dtype=np.float64)
-    if mat.ndim != 2:
-        mat = np.stack([np.asarray(v, dtype=np.float64) for v in vectors])
     norms = np.linalg.norm(mat, axis=1)
     top = norms.max() if len(norms) else 0.0
     if top == 0.0:
@@ -152,16 +150,6 @@ def unit_normalize(x: np.ndarray) -> np.ndarray:
     return x / n
 
 
-def transform_P(x: np.ndarray, norm_terms: int = 2) -> np.ndarray:
-    """Data-side MIPS transform: append 1/2 - ||x||^(2^i) for i = 1..norm_terms."""
-    x = np.asarray(x, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if norm >= 1.0:
-        raise ValueError(f"data vector norm must be < 1 (norm reduction first), got {norm}")
-    tail = [0.5 - norm ** (2 ** i) for i in range(1, norm_terms + 1)]
-    return np.concatenate([x, tail])
-
-
 def transform_Q(x: np.ndarray, norm_terms: int = 2) -> np.ndarray:
     """Query-side MIPS transform: append zeros (expects a unit-norm input)."""
     x = np.asarray(x, dtype=np.float64)
@@ -171,6 +159,8 @@ def transform_Q(x: np.ndarray, norm_terms: int = 2) -> np.ndarray:
 
 
 def transform_P_batch(mat: np.ndarray, norm_terms: int = 2) -> np.ndarray:
+    """Data-side MIPS transform of each row: append 1/2 - ||x||^(2^i) for
+    i = 1..norm_terms. Every row norm must be < 1 (norm reduction first)."""
     norms = np.linalg.norm(mat, axis=1)
     if np.any(norms >= 1.0):
         raise ValueError("all data vector norms must be < 1 (norm reduction first)")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import _top_k
 from .roadnet import RoadNetwork, RoutingLedger
 from .trips import Ride
 
@@ -21,6 +22,8 @@ DEFAULT_MAX_DELAY_S = 600.0  # 10-minute maximum pickup delay
 ORDERING_LABELS = ("ssTT", "ssT'T", "s'sT'T", "s'sTT'")
 
 CROSS_SEGMENTS_PER_PAIR = 6
+
+_BLOCK = 2**18  # pair evaluations per brute_force_topk_all block
 
 
 @dataclass
@@ -31,14 +34,32 @@ class MatchEvaluation:
     utility: float
 
 
-def _eval_arrays(table, a_s, a_t, c_a, t_a, b_s, b_t, c_b, t_b, max_delay_s):
-    """Vectorized pair evaluation over parallel index/cost/time arrays; the
-    node indices index both axes of the duration table.
+def _ride_arrays(net: RoadNetwork, rides):
+    """(table, s, t, c, rt): the shortest durations among the rides' endpoint
+    nodes only (no V x V table is built), and per ride the table indices of
+    its pickup and dropoff, its cost and its request time."""
+    n = len(rides)
+    nodes = np.fromiter(
+        (node for r in rides for node in (r.pickup_node, r.dropoff_node)), dtype=np.int64, count=2 * n
+    )
+    ends, inverse = np.unique(nodes, return_inverse=True)
+    table = net.distance_matrix(ends)[:, ends]
+    c = np.fromiter((r.cost for r in rides), dtype=np.float64, count=n)
+    rt = np.fromiter((r.request_time for r in rides), dtype=np.float64, count=n)
+    return table, inverse[0::2], inverse[1::2], c, rt
+
+
+def _evaluate(arrays, i, j, max_delay_s):
+    """Evaluate the pairs (ride i[p], ride j[p]) of one `_ride_arrays` result;
+    i and j broadcast against each other.
 
     Returns (combined, best_idx, feasible, utility). Orderings whose
     second-picked ride would wait longer than max_delay_s, or with an
     unreachable leg, are excluded; an excluded pair has combined == inf.
     """
+    table, s, t, c, rt = arrays
+    a_s, a_t, c_a = s[i], t[i], c[i]
+    b_s, b_t, c_b = s[j], t[j], c[j]
     d_ss = table[a_s, b_s]   # a's pickup -> b's pickup
     d_s2s = table[b_s, a_s]
     d_tt = table[a_t, b_t]   # a's dropoff -> b's dropoff
@@ -65,27 +86,10 @@ def _eval_arrays(table, a_s, a_t, c_a, t_a, b_s, b_t, c_b, t_b, max_delay_s):
 
     combined = orders.min(axis=0)
     best_idx = orders.argmin(axis=0)
-    time_ok = np.abs(np.asarray(t_a) - np.asarray(t_b)) <= max_delay_s
+    time_ok = np.abs(rt[i] - rt[j]) <= max_delay_s
     feasible = time_ok & np.isfinite(combined)
     utility = np.where(feasible, np.maximum(0.0, c_a + c_b - combined), 0.0)
     return combined, best_idx, feasible, utility
-
-
-def _endpoint_table(net: RoadNetwork, *nodes):
-    """Shortest durations among the given nodes only, and each node array
-    re-indexed into that table. Rows come from these nodes alone, so no
-    V x V table is built."""
-    ends, inverse = np.unique(np.concatenate(nodes), return_inverse=True)
-    table = net.distance_matrix(ends)[:, ends]
-    return table, np.split(inverse, np.cumsum([len(a) for a in nodes[:-1]]))
-
-
-def _arrays_of(rides):
-    s = np.fromiter((r.pickup_node for r in rides), dtype=np.int64, count=len(rides))
-    t = np.fromiter((r.dropoff_node for r in rides), dtype=np.int64, count=len(rides))
-    c = np.fromiter((r.cost for r in rides), dtype=np.float64, count=len(rides))
-    rt = np.fromiter((r.request_time for r in rides), dtype=np.float64, count=len(rides))
-    return s, t, c, rt
 
 
 def combined_cost(
@@ -98,27 +102,12 @@ def combined_cost(
     """Evaluate one pair; 6 cross-segment routing calls are charged."""
     if ledger is not None:
         ledger.charge(CROSS_SEGMENTS_PER_PAIR)
-    table, (a_s, a_t, b_s, b_t) = _endpoint_table(
-        net, [r.pickup_node], [r.dropoff_node], [r2.pickup_node], [r2.dropoff_node]
-    )
-    combined, best_idx, feasible, utility = _eval_arrays(
-        table,
-        a_s,
-        a_t,
-        np.array([r.cost]),
-        np.array([r.request_time]),
-        b_s,
-        b_t,
-        np.array([r2.cost]),
-        np.array([r2.request_time]),
-        max_delay_s,
-    )
-    cmb = float(combined[0])
+    combined, best_idx, feasible, utility = _evaluate(_ride_arrays(net, [r, r2]), 0, 1, max_delay_s)
     return MatchEvaluation(
-        combined_cost=cmb,
-        best_ordering=ORDERING_LABELS[int(best_idx[0])] if np.isfinite(cmb) else None,
-        feasible=bool(feasible[0]),
-        utility=float(utility[0]),
+        combined_cost=float(combined),
+        best_ordering=ORDERING_LABELS[int(best_idx)] if np.isfinite(combined) else None,
+        feasible=bool(feasible),
+        utility=float(utility),
     )
 
 
@@ -147,14 +136,7 @@ def pairwise_utilities(
         ledger.charge(CROSS_SEGMENTS_PER_PAIR * len(pairs))
     if len(pairs) == 0:
         return np.empty(0)
-    s, t, c, rt = _arrays_of(rides)
-    i = pairs[:, 0]
-    j = pairs[:, 1]
-    table, (s, t) = _endpoint_table(net, s, t)
-    _, _, _, utility = _eval_arrays(
-        table, s[i], t[i], c[i], rt[i], s[j], t[j], c[j], rt[j], max_delay_s
-    )
-    return utility
+    return _evaluate(_ride_arrays(net, rides), pairs[:, 0], pairs[:, 1], max_delay_s)[3]
 
 
 def brute_force_topk(
@@ -172,23 +154,9 @@ def brute_force_topk(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     others = [r for r in rides if r.id != q.id]
-    if not others:
-        return []
-    s, t, c, rt = _arrays_of(others)
-    table, (q_s, q_t, s, t) = _endpoint_table(net, [q.pickup_node], [q.dropoff_node], s, t)
-    _, _, _, utility = _eval_arrays(
-        table,
-        np.repeat(q_s, len(others)),
-        np.repeat(q_t, len(others)),
-        np.full(len(others), q.cost),
-        np.full(len(others), q.request_time),
-        s,
-        t,
-        c,
-        rt,
-        max_delay_s,
-    )
-    ids = np.fromiter((r.id for r in others), dtype=np.int64, count=len(others))
+    m = len(others)
+    utility = _evaluate(_ride_arrays(net, [q, *others]), 0, np.arange(1, m + 1), max_delay_s)[3]
+    ids = np.fromiter((r.id for r in others), dtype=np.int64, count=m)
     order = np.lexsort((ids, -utility))[:k]
     return [(int(ids[i]), float(utility[i])) for i in order]
 
@@ -198,31 +166,25 @@ def brute_force_topk_all(
     k: int,
     net: RoadNetwork,
     max_delay_s: float = DEFAULT_MAX_DELAY_S,
-    chunk: int = 256,
 ) -> dict[int, list[tuple[int, float]]]:
-    """Oracle top-k for every ride at once (chunked O(n^2) evaluation)."""
+    """Oracle top-k for every ride at once: brute_force_topk's ranking by the
+    baselines' top-k rule (`baselines._top_k`), min(k, n - 1) per ride. Rides
+    are evaluated and ranked in blocks of rows x n pairs, at most _BLOCK
+    pairs (at least one row) each."""
     n = len(rides)
-    s, t, c, rt = _arrays_of(rides)
+    arrays = _ride_arrays(net, rides)
     ids = np.fromiter((r.id for r in rides), dtype=np.int64, count=n)
-    table, (s, t) = _endpoint_table(net, s, t)
+    k = min(k, n - 1)
+    everyone = np.arange(n)[None, :]
+    step = max(1, _BLOCK // max(1, n))
     out: dict[int, list[tuple[int, float]]] = {}
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        m = hi - lo
-        qs = np.repeat(s[lo:hi], n)
-        qt = np.repeat(t[lo:hi], n)
-        qc = np.repeat(c[lo:hi], n)
-        qrt = np.repeat(rt[lo:hi], n)
-        _, _, _, util = _eval_arrays(
-            table, qs, qt, qc, qrt,
-            np.tile(s, m), np.tile(t, m), np.tile(c, m), np.tile(rt, m),
-            max_delay_s,
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        utility = _evaluate(arrays, rows[:, None], everyone, max_delay_s)[3]
+        cand = _top_k(-utility, everyone, rows, ids, k)
+        top = np.take_along_axis(utility, cand, axis=-1)
+        out.update(
+            (rid, list(zip(cand_ids, values)))
+            for rid, cand_ids, values in zip(ids[rows].tolist(), ids[cand].tolist(), top.tolist())
         )
-        util = util.reshape(m, n)
-        for row in range(m):
-            qi = lo + row
-            u = util[row]
-            order = np.lexsort((ids, -u))
-            order = order[order != qi][:k]  # exclude self
-            out[int(ids[qi])] = [(int(ids[i]), float(u[i])) for i in order]
     return out

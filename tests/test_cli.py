@@ -321,6 +321,20 @@ class TestMain:
         cfg_path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "config error: network must be an object, got ['city']" in capsys.readouterr().err
+        for top, shown in (([], "[]"), ("x", "'x'")):
+            cfg_path.write_text(json.dumps(top))
+            for override in ([], ["--synth", "evening"], ["--trips", "trips.csv"]):
+                assert main(["run", "--config", str(cfg_path), *override]) == 2
+                assert f"config error: the config must be an object, got {shown}" in capsys.readouterr().err
+        for flags, message in (
+            (["--n", "0"], "scenario.synth.n must be >= 1, got 0"),
+            (["--rows", "1"], "network.rows must be >= 2, got 1"),
+            (["--hotspots", "0"], "scenario.synth.hotspots must be >= 1, got 0"),
+            (["--spread-m", "-5"], "scenario.synth.spread_m must be >= 0, got -5.0"),
+        ):
+            assert main(["synth", "--out", str(tmp_path / "trips.csv"), *flags]) == 2
+            assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "trips.csv").exists()
         # every error at once; cp_dim's bound is not judged against a bad dim
         raw = json.loads((DATA / "fixture_config.json").read_text())
         raw["lsh"].update({"probes": 0, "dim": 60, "cp_dim": 500, "center": "yes"})

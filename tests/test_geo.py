@@ -7,8 +7,6 @@ from ridematch.geo import (
     EARTH_RADIUS_KM,
     GEOHASH_ALPHABET,
     GeoPoint,
-    geohash_bounds,
-    geohash_center,
     geohash_encode,
     haversine_km,
     haversine_km_arrays,
@@ -120,18 +118,6 @@ class TestGeohash:
             code = geohash_encode(p, 8)
             assert len(code) == 8
             assert all(c in GEOHASH_ALPHABET for c in code)
-
-    def test_cell_center_roundtrip(self, rng):
-        for _ in range(100):
-            p = GeoPoint(rng.uniform(-89, 89), rng.uniform(-179, 179))
-            code = geohash_encode(p, 7)
-            assert geohash_encode(geohash_center(code), 7) == code
-
-    def test_bounds_contain_point(self, rng):
-        p = GeoPoint(40.7128, -74.006)
-        lat_lo, lat_hi, lon_lo, lon_hi = geohash_bounds(geohash_encode(p, 6))
-        assert lat_lo <= p.lat < lat_hi
-        assert lon_lo <= p.lon < lon_hi
 
     def test_precision_range(self):
         p = GeoPoint(1.0, 1.0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import ridematch.network as network
 from ridematch.baselines import closeby
 from ridematch.network import (
-    MatchingResult,
     ShareabilityNetwork,
     _blossom,
     _certify,
@@ -274,13 +273,8 @@ class TestOptimalUtility:
         assert opt.total_utility == pytest.approx(ref.total_utility, abs=1e-9)
 
     def test_cap_refused_with_guidance(self, city21, small_workload):
-        with pytest.raises(ValueError, match="lower the load"):
+        with pytest.raises(ValueError, match="lower the load or raise optimal_cap"):
             optimal_utility(small_workload.rides, city21, cap=10)
-
-    def test_greedy_flag_runs_past_cap(self, city21, small_workload):
-        res = optimal_utility(small_workload.rides, city21, cap=10, greedy=True)
-        assert isinstance(res, MatchingResult)
-        assert res.total_utility > 0
 
     def test_ledger_accounting(self, city21):
         w = synth_commute(city21, 30, seed=35)

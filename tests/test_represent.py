@@ -13,7 +13,6 @@ from ridematch.represent import (
     query_vector,
     sparse_inner,
     st_edge_set,
-    transform_P,
     transform_P_batch,
     transform_Q,
     unit_normalize,
@@ -160,33 +159,34 @@ class TestFeatureHash:
 
 class TestTransforms:
     def test_zero_vector(self):
-        out = transform_P(np.zeros(4), 2)
-        assert np.array_equal(out, [0, 0, 0, 0, 0.5, 0.5])
+        out = transform_P_batch(np.zeros((1, 4)), 2)
+        assert np.array_equal(out, [[0, 0, 0, 0, 0.5, 0.5]])
 
     def test_known_norm_tail(self):
-        x = np.zeros(6)
-        x[0] = 0.75
-        out = transform_P(x, 2)
+        x = np.zeros((1, 6))
+        x[0, 0] = 0.75
+        (out,) = transform_P_batch(x, 2)
         assert out[-2] == pytest.approx(0.5 - 0.5625, abs=1e-15)       # 1/2 - 0.75^2
         assert out[-1] == pytest.approx(0.5 - 0.31640625, abs=1e-15)   # 1/2 - 0.75^4
         assert out[-2] == -0.0625
         assert out[-1] == 0.18359375
 
     def test_inner_product_identity(self, rng):
-        for _ in range(100):
-            p = rng.normal(size=24)
-            p = p / np.linalg.norm(p) * rng.uniform(0.0, 0.75)
+        p = rng.normal(size=(100, 24))
+        p = p / np.linalg.norm(p, axis=1, keepdims=True) * rng.uniform(0.0, 0.75, size=(100, 1))
+        pmat = transform_P_batch(p, 2)
+        for i in range(100):
             q = unit_normalize(rng.normal(size=24))
-            lhs = float(transform_Q(q, 2) @ transform_P(p, 2))
-            assert abs(lhs - float(q @ p)) < 1e-12
+            lhs = float(transform_Q(q, 2) @ pmat[i])
+            assert abs(lhs - float(q @ p[i])) < 1e-12
 
     def test_norm_identity(self, rng):
         for m in (1, 2, 3):
-            x = rng.normal(size=16)
-            x = x / np.linalg.norm(x) * 0.6
-            norm_sq = float(np.linalg.norm(transform_P(x, m)) ** 2)
-            want = m / 4 + np.linalg.norm(x) ** (2 ** (m + 1))
-            assert abs(norm_sq - want) < 1e-12
+            x = rng.normal(size=(5, 16))
+            x = x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.0, 0.75, size=(5, 1))
+            norm_sq = np.linalg.norm(transform_P_batch(x, m), axis=1) ** 2
+            want = m / 4 + np.linalg.norm(x, axis=1) ** (2 ** (m + 1))
+            assert np.all(np.abs(norm_sq - want) < 1e-12)
 
     def test_q_appends_zeros_and_keeps_norm(self, rng):
         q = unit_normalize(rng.normal(size=10))
@@ -196,21 +196,15 @@ class TestTransforms:
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_norm_too_large_rejected(self):
-        x = np.ones(4)  # norm 2
         with pytest.raises(ValueError):
-            transform_P(x, 2)
+            transform_P_batch(np.ones((2, 4)), 2)  # norm 2
+        x = np.zeros((2, 4))
+        x[1, 0] = 1.0  # norm exactly 1 in one row
         with pytest.raises(ValueError):
-            transform_P_batch(np.ones((2, 4)), 2)
+            transform_P_batch(x, 2)
 
     def test_zero_query_rejected(self):
         with pytest.raises(DegenerateInputError):
             transform_Q(np.zeros(4), 2)
         with pytest.raises(DegenerateInputError):
             unit_normalize(np.zeros(3))
-
-    def test_batch_matches_scalar(self, rng):
-        mat = rng.normal(size=(20, 8))
-        mat = mat / np.linalg.norm(mat, axis=1, keepdims=True) * 0.7
-        batch = transform_P_batch(mat, 2)
-        for i in range(20):
-            assert np.allclose(batch[i], transform_P(mat[i], 2), atol=1e-15)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ridematch.utility as utility
 from ridematch.roadnet import RoutingLedger
 from ridematch.utility import (
     ORDERING_LABELS,
@@ -168,11 +169,23 @@ class TestBruteForceTopk:
         for (g, gu), (e, eu) in zip(got, pairs[:10]):
             assert gu == pytest.approx(eu, abs=1e-9)
 
-    def test_topk_all_agrees_with_single(self, city21, small_workload):
-        rides = small_workload.rides[:60]
-        all_out = brute_force_topk_all(rides, 5, city21)
-        for q in rides[::7]:
-            assert all_out[q.id] == brute_force_topk(rides, q, 5, city21)
+    def test_topk_all_agrees_with_single(self, city21, small_workload, monkeypatch):
+        rides = small_workload.rides[:40]
+        # clones tie exactly with their originals; shuffled ids make the
+        # id tie rule differ from pool order
+        pool = rides + rides[:3] * 2
+        ids = np.random.default_rng(3).permutation(len(pool)) + 500
+        pool = [dataclasses.replace(r, id=int(i)) for r, i in zip(pool, ids)]
+        n = len(pool)
+        # blocks of all rows, of 3 rows (the last one short) and of 1 row
+        for block in (utility._BLOCK, 3 * n + 1, 1):
+            monkeypatch.setattr(utility, "_BLOCK", block)
+            for k in (5, n - 1, n + 3):
+                all_out = brute_force_topk_all(pool, k, city21)
+                assert list(all_out) == [r.id for r in pool]
+                for q in pool:
+                    assert all_out[q.id] == brute_force_topk(pool, q, k, city21)
+        assert brute_force_topk_all(pool[:1], 5, city21) == {pool[0].id: []}
 
 
 class TestPairwiseUtilities:
