@@ -1,7 +1,7 @@
 """Sublinear ride-match search via spatio-temporal LSH, with baselines and evaluation."""
 
 from .geo import GeoPoint, geohash_encode, haversine_km, time_bucket
-from .lshindex import LshConfig, build_index, cp_hash, find_potential_matches, query, suggest_params
+from .lshindex import LshConfig, find_potential_matches, query, suggest_params
 from .network import build_network, max_weight_matching, optimal_utility
 from .roadnet import (
     NoRouteError,
@@ -22,8 +22,6 @@ __all__ = [
     "haversine_km",
     "time_bucket",
     "LshConfig",
-    "build_index",
-    "cp_hash",
     "find_potential_matches",
     "query",
     "suggest_params",

@@ -450,16 +450,15 @@ def _cmd_run(args) -> int:
         return 2
     if not isinstance(raw, dict):
         raise ConfigError([f"the config must be an object, got {raw!r}"])
-    if args.trips:
-        scenario = dict(raw.get("scenario", {}))
-        scenario.pop("synth", None)
-        scenario["csv"] = args.trips
-        raw["scenario"] = scenario
-    elif args.synth:
-        scenario = dict(raw.get("scenario", {}))
-        synth = dict(scenario.get("synth", {}))
-        synth["mode"] = args.synth
-        raw["scenario"] = {"synth": synth}
+    # an override merges only into an object; anything else is left for the
+    # schema check to report
+    scenario = raw.get("scenario", {})
+    if args.trips and isinstance(scenario, dict):
+        scenario = {k: v for k, v in scenario.items() if k != "synth"}
+        raw["scenario"] = {**scenario, "csv": args.trips}
+    elif args.synth and isinstance(scenario, dict):
+        synth = scenario.get("synth", {})
+        raw["scenario"] = {"synth": {**synth, "mode": args.synth} if isinstance(synth, dict) else synth}
     _resolve_paths(raw, args.config)
     report = run_experiment(ExperimentConfig.from_dict(raw))
     text = emit_report(report, args.format, args.out)

@@ -49,16 +49,6 @@ def _next_pow2(n: int) -> int:
     return p
 
 
-def _pad(mat: np.ndarray, d_padded: int) -> np.ndarray:
-    """A fresh C-ordered float64 copy of mat, zero-padded to d_padded columns."""
-    n, d = mat.shape
-    if d == d_padded:
-        return np.array(mat, dtype=np.float64, order="C")
-    out = np.zeros((n, d_padded))
-    out[:, :d] = mat
-    return out
-
-
 def _fwht_rows(x: np.ndarray) -> None:
     """Unnormalized fast Walsh-Hadamard transform along axis 1, in place."""
     n, d = x.shape
@@ -70,19 +60,6 @@ def _fwht_rows(x: np.ndarray) -> None:
         y[:, :, 0, :] = a + b
         y[:, :, 1, :] = a - b
         h *= 2
-
-
-def _rotate3(x: np.ndarray, signs: np.ndarray) -> None:
-    """Three sign-flip/Hadamard rounds on the rows of x, in place.
-
-    signs: (3, d) of +-1, d a power of two. The d**-1.5 scale makes the
-    product of the three unnormalized transforms exactly orthogonal.
-    """
-    d = x.shape[1]
-    for r in range(3):
-        x *= signs[r]
-        _fwht_rows(x)
-    x *= d**-1.5
 
 
 def _top2_abs(y: np.ndarray):
@@ -159,59 +136,6 @@ def _project_codes(mat: np.ndarray, proj: np.ndarray, cp_dim: int, scale: float)
     return c1.reshape(n, -1), c2.reshape(n, -1), margin.reshape(n, -1)
 
 
-class CpHashFunction:
-    """One cross-polytope hash: seeded pseudo-rotation, then nearest signed axis.
-
-    The rotation is three rounds of (sign-flip diagonal, normalized Hadamard
-    transform) and is exactly orthogonal. seed=None keeps the rotation at the
-    identity, the test seam for the argmax/sign rule. cp_dim < d restricts
-    the argmax to the first cp_dim rotated coordinates (the low-dimensional
-    cross-polytope variant used to trade sharpness for collision rate).
-    Under a seed it is function 0 of an LshIndex built with that seed.
-    """
-
-    def __init__(self, dim: int, seed: int | None = 0, cp_dim: int | None = None):
-        self.dim = dim
-        self.d_padded = _next_pow2(dim)
-        self.cp_dim = self.d_padded if cp_dim is None else cp_dim
-        if not 1 <= self.cp_dim <= self.d_padded:
-            raise ValueError(f"cp_dim must be in [1, {self.d_padded}], got {cp_dim}")
-        if seed is None:
-            self.signs = None
-            self.proj = np.eye(self.d_padded)[:dim, : self.cp_dim]
-            self.scale = 1.0
-        else:
-            self.signs = _signs(seed, 1, self.d_padded)[0]
-            self.proj = _projection(self.signs[None], dim, self.cp_dim)
-            self.scale = self.d_padded**-1.5
-
-    @classmethod
-    def identity(cls, dim: int) -> "CpHashFunction":
-        return cls(dim, seed=None)
-
-    def rotate(self, x: np.ndarray) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        buf = _pad(np.atleast_2d(arr), self.d_padded)
-        if self.signs is not None:
-            _rotate3(buf, self.signs)
-        return buf if arr.ndim > 1 else buf[0]
-
-    def hash_batch(self, mat: np.ndarray):
-        """Per row: (code, runner-up code, margin between top two |coords|)."""
-        mat = np.asarray(mat, dtype=np.float64)
-        codes, alts, margins = _project_codes(mat, self.proj, self.cp_dim, self.scale)
-        return codes[:, 0], alts[:, 0], margins[:, 0]
-
-
-def cp_hash(h: CpHashFunction, x: np.ndarray) -> int:
-    """Hash one vector to an integer in [0, 2 * cp_dim)."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.any(x):
-        raise ValueError("cannot hash a zero vector")
-    codes, _, _ = h.hash_batch(x[None, :])
-    return int(codes[0])
-
-
 def suggest_params(n: int, k: int, failure_prob: float, rho_estimate: float) -> tuple[int, int]:
     """(tables, hash_bits) from the amplification analysis, clamped to sane ranges."""
     if n < 2:
@@ -252,11 +176,6 @@ class MatchSearchSummary:
     @property
     def mean_candidates(self) -> float:
         a = self.candidates_per_query
-        return float(a.mean()) if len(a) else 0.0
-
-    @property
-    def mean_raw_retrieved(self) -> float:
-        a = self.raw_retrieved_per_query
         return float(a.mean()) if len(a) else 0.0
 
 
@@ -539,16 +458,6 @@ def _first_of_runs(*keys):
     if len(first):
         first[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
     return first
-
-
-def build_index(vectors, tables: int, hash_bits: int, seed: int = 0, cp_dim: int | None = None) -> LshIndex:
-    """Build an index from (ride id, dense vector) pairs; deterministic under seed."""
-    vectors = list(vectors)
-    if not vectors:
-        raise DegenerateInputError("cannot build an index over no vectors")
-    ids = [v[0] for v in vectors]
-    matrix = np.stack([np.asarray(v[1], dtype=np.float64) for v in vectors])
-    return LshIndex(ids, matrix, tables, hash_bits, seed, cp_dim=cp_dim)
 
 
 def query(

@@ -16,7 +16,7 @@ import pytest
 
 from ridematch.baselines import closeby, closeby_haversine
 from ridematch.cli import ExperimentConfig, report_to_csv, report_to_json, run_experiment
-from ridematch.lshindex import CpHashFunction, LshConfig, find_potential_matches, suggest_params
+from ridematch.lshindex import LshConfig, LshIndex, find_potential_matches, suggest_params
 from ridematch.network import ShareabilityNetwork, build_network, max_weight_matching, optimal_utility
 from ridematch.represent import (
     preprocessing_vector,
@@ -151,7 +151,8 @@ def test_criterion_3_lsh_collision_property():
     n_fns = 2000
     collide = np.zeros(len(probes), dtype=np.int64)
     for seed in range(n_fns):
-        codes, _, _ = CpHashFunction(d, seed=seed).hash_batch(stack)
+        idx = LshIndex(np.arange(len(stack)), stack, tables=1, hash_bits=1, seed=seed)
+        codes = idx._hash_all(stack, want_probes=False)[0][:, 0, 0]
         collide += codes[1:] == codes[0]
     rates = collide / n_fns
     se = 1.0 / math.sqrt(n_fns)

@@ -326,6 +326,15 @@ class TestMain:
             for override in ([], ["--synth", "evening"], ["--trips", "trips.csv"]):
                 assert main(["run", "--config", str(cfg_path), *override]) == 2
                 assert f"config error: the config must be an object, got {shown}" in capsys.readouterr().err
+        # an override leaves a section that is not an object to the schema check
+        for raw, override, message in (
+            ({"scenario": "x"}, ["--synth", "evening"], "scenario must be an object, got 'x'"),
+            ({"scenario": "x"}, ["--trips", "foo.csv"], "scenario must be an object, got 'x'"),
+            ({"scenario": {"synth": 5}}, ["--synth", "evening"], "scenario.synth must be an object, got 5"),
+        ):
+            cfg_path.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(cfg_path), *override]) == 2
+            assert f"config error: {message}" in capsys.readouterr().err
         for flags, message in (
             (["--n", "0"], "scenario.synth.n must be >= 1, got 0"),
             (["--rows", "1"], "network.rows must be >= 2, got 1"),

@@ -3,18 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridematch.represent import DegenerateInputError
 from ridematch.lshindex import (
-    CpHashFunction,
     LshConfig,
     LshIndex,
-    _rotate3,
+    _project_codes,
+    _signs,
     _top2_abs,
-    build_index,
-    cp_hash,
     find_potential_matches,
     query,
     suggest_params,
@@ -90,34 +89,31 @@ def _assert_same_query_batch(got, want):
 
 
 class TestCpHash:
+    # _project_codes under the identity rotation: codes of y's own coordinates
     def test_identity_seam_positive_axis(self):
-        h = CpHashFunction.identity(8)
-        e0 = np.zeros(8)
-        e0[0] = 1.0
-        assert cp_hash(h, e0) == 0
+        e0 = np.zeros((1, 8))
+        e0[0, 0] = 1.0
+        assert _project_codes(e0, np.eye(8), 8, 1.0)[0][0, 0] == 0
 
     def test_identity_seam_negative_axis(self):
-        h = CpHashFunction.identity(8)
-        e0 = np.zeros(8)
-        e0[0] = -1.0
-        assert cp_hash(h, e0) == 1
+        e0 = np.zeros((1, 8))
+        e0[0, 0] = -1.0
+        assert _project_codes(e0, np.eye(8), 8, 1.0)[0][0, 0] == 1
 
     def test_identity_seam_other_axis(self):
-        h = CpHashFunction.identity(8)
-        x = np.zeros(8)
-        x[3] = -2.0
-        assert cp_hash(h, x) == 7  # 2*3 + 1
+        x = np.zeros((1, 8))
+        x[0, 3] = -2.0
+        assert _project_codes(x, np.eye(8), 8, 1.0)[0][0, 0] == 7  # 2*3 + 1
 
     def test_tie_breaks_to_lowest_index(self):
-        h = CpHashFunction.identity(4)
-        assert cp_hash(h, np.ones(4)) == 0
+        assert _project_codes(np.ones((1, 4)), np.eye(4), 4, 1.0)[0][0, 0] == 0
         # |1| == |-1|: index 0 (positive) wins, index 1 (negative) is runner-up
-        code, alt, margin = CpHashFunction.identity(3).hash_batch(np.array([[1.0, -1.0, 0.5]]))
-        assert (code[0], alt[0], margin[0]) == (0, 3, 0.0)
+        code, alt, margin = _project_codes(np.array([[1.0, -1.0, 0.5]]), np.eye(3), 3, 1.0)
+        assert (code[0, 0], alt[0, 0], margin[0, 0]) == (0, 3, 0.0)
 
     def test_runner_up_code_and_margin(self, rng):
         y = rng.normal(size=(200, 17))
-        code, alt, margin = CpHashFunction.identity(17).hash_batch(y)
+        code, alt, margin = (a[:, 0] for a in _project_codes(y, np.eye(17), 17, 1.0))
         rank = np.argsort(-np.abs(y), axis=1, kind="stable")
         rows = np.arange(len(y))
         for got, j in ((code, rank[:, 0]), (alt, rank[:, 1])):
@@ -128,44 +124,23 @@ class TestCpHash:
 
     def test_antipodal_codes_differ(self, rng):
         for seed in range(50):
-            h = CpHashFunction(12, seed=seed)
             x = rng.normal(size=12)
-            assert cp_hash(h, x) != cp_hash(h, -x)
-
-    def test_deterministic_under_seed(self, rng):
-        x = rng.normal(size=20)
-        assert cp_hash(CpHashFunction(20, seed=3), x) == cp_hash(CpHashFunction(20, seed=3), x)
+            idx = LshIndex(np.arange(2), np.stack([x, -x]), tables=1, hash_bits=1, seed=seed)
+            codes, _, _ = idx._hash_all(idx.matrix, want_probes=False)
+            assert codes[0, 0, 0] != codes[1, 0, 0]
 
     def test_rotation_orthogonal(self, rng):
+        # function f's block of proj * scale is the first dim columns of its
+        # rotation, transposed: orthonormal rows, and x -> x @ block keeps norms
         for dim, seed in ((48, 11), (64, 0), (128, 5)):
-            h = CpHashFunction(dim, seed=seed)
-            m = h.rotate(np.eye(h.d_padded))
-            gram = m @ m.T
-            assert np.max(np.abs(gram - np.eye(h.d_padded))) < 1e-12
             x = rng.normal(size=(10, dim))
-            norms = np.linalg.norm(h.rotate(x), axis=1)
-            assert np.allclose(norms, np.linalg.norm(x, axis=1), atol=1e-10)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            cp_hash(CpHashFunction(8, seed=0), np.zeros(8))
-
-    # the private pseudo-rotation and top-2 helpers behind hash_batch
-    def test_rotate3_is_orthogonal(self, rng):
-        d = 64
-        signs = rng.integers(0, 2, size=(3, d)).astype(np.float64) * 2 - 1
-        m = np.eye(d)
-        _rotate3(m, signs)
-        gram = m @ m.T
-        assert np.max(np.abs(gram - np.eye(d))) < 1e-12
-
-    def test_rotate3_preserves_norm(self, rng):
-        d = 128
-        signs = rng.integers(0, 2, size=(3, d)).astype(np.float64) * 2 - 1
-        x = rng.normal(size=(10, d))
-        norms = np.linalg.norm(x, axis=1)
-        _rotate3(x, signs)
-        assert np.allclose(np.linalg.norm(x, axis=1), norms, atol=1e-10)
+            idx = LshIndex(np.arange(10), x, tables=2, hash_bits=2, seed=seed)
+            w = idx.proj * idx.scale
+            for f in range(idx.tables * idx.hash_bits):
+                block = w[:, f * idx.cp_dim : (f + 1) * idx.cp_dim]
+                assert np.max(np.abs(block @ block.T - np.eye(dim))) < 1e-12
+                norms = np.linalg.norm(x @ block, axis=1)
+                assert np.allclose(norms, np.linalg.norm(x, axis=1), atol=1e-10)
 
     def test_top2_tie_goes_to_lowest_index(self):
         c1, c2, m = _top2_abs(np.array([[1.0, -1.0, 0.5]]))
@@ -174,16 +149,15 @@ class TestCpHash:
         assert m[0] == 0.0
 
     def test_range(self, rng):
-        h = CpHashFunction(10, seed=2, cp_dim=4)
-        for _ in range(100):
-            code = cp_hash(h, rng.normal(size=10))
-            assert 0 <= code < 8
+        idx = LshIndex(np.arange(100), rng.normal(size=(100, 10)), tables=3, hash_bits=2, seed=2, cp_dim=4)
+        codes, alts, _ = idx._hash_all(idx.matrix, want_probes=True)
+        for c in (codes, alts):
+            assert c.min() >= 0 and c.max() < 8
 
     def test_invalid_cp_dim(self):
-        with pytest.raises(ValueError):
-            CpHashFunction(8, seed=0, cp_dim=0)
-        with pytest.raises(ValueError):
-            CpHashFunction(8, seed=0, cp_dim=9)
+        for cp_dim in (0, 9):
+            with pytest.raises(ValueError):
+                LshIndex(np.arange(1), np.ones((1, 8)), tables=1, hash_bits=1, seed=0, cp_dim=cp_dim)
 
 
 class TestProjectionHash:
@@ -201,47 +175,48 @@ class TestProjectionHash:
 
     @pytest.mark.parametrize("perturb", [0.0, 1e-13])
     def test_zero_rule_through_index(self, rng, perturb):
-        idx = LshIndex(np.arange(20), _unit_rows(rng, 20, 12), tables=3, hash_bits=4, seed=5, cp_dim=1)
-        for f in range(idx.tables * idx.hash_bits):
-            x = self._zero_on(idx.proj, f, perturb)
-            codes, alts, margins = idx._hash_all(x[None, :], want_probes=True)
-            tbl, bit = divmod(f, idx.hash_bits)
-            assert (codes[0, tbl, bit], alts[0, tbl, bit], margins[0, tbl, bit]) == (0, 1, 0.0)
-
-    @pytest.mark.parametrize("perturb", [0.0, 1e-13])
-    def test_zero_rule_through_hash_batch(self, perturb):
         for seed in range(10):
-            h = CpHashFunction(12, seed=seed, cp_dim=1)
-            x = self._zero_on(h.proj, 0, perturb)
-            code, alt, margin = h.hash_batch(x[None, :])
-            assert (code[0], alt[0], margin[0]) == (0, 1, 0.0)
+            idx = LshIndex(np.arange(20), _unit_rows(rng, 20, 12), tables=3, hash_bits=4, seed=seed, cp_dim=1)
+            for f in range(idx.tables * idx.hash_bits):
+                x = self._zero_on(idx.proj, f, perturb)
+                codes, alts, margins = idx._hash_all(x[None, :], want_probes=True)
+                tbl, bit = divmod(f, idx.hash_bits)
+                assert (codes[0, tbl, bit], alts[0, tbl, bit], margins[0, tbl, bit]) == (0, 1, 0.0)
 
     @pytest.mark.parametrize("cp_dim", [1, 2, 8, None])
     def test_codes_are_argmax_of_rotation(self, rng, cp_dim):
+        # reference: function f's dense rotation d**-1.5 * H*S2*H*S1*H*S0,
+        # which shares no code with the index's fast transform
         x = rng.normal(size=(300, 40))
+        d = 64
+        hadamard = scipy.linalg.hadamard(d).astype(np.float64)
+        rows = np.arange(len(x))
         for seed in range(5):
-            h = CpHashFunction(40, seed=seed, cp_dim=cp_dim)
-            y = h.rotate(x)[:, : h.cp_dim]
-            rank = np.argsort(-np.abs(y), axis=1, kind="stable")
-            rows = np.arange(len(y))
-            code, alt, margin = h.hash_batch(x)
-            assert np.array_equal(code, 2 * rank[:, 0] + (y[rows, rank[:, 0]] < 0))
-            if h.cp_dim > 1:
-                assert np.array_equal(alt, 2 * rank[:, 1] + (y[rows, rank[:, 1]] < 0))
-                top2 = np.abs(y[rows, rank[:, 0]]) - np.abs(y[rows, rank[:, 1]])
-                assert np.allclose(margin, top2, rtol=0.0, atol=1e-12)
+            idx = LshIndex(np.arange(300), x, tables=2, hash_bits=3, seed=seed, cp_dim=cp_dim)
+            codes, alts, margins = _project_codes(x, idx.proj, idx.cp_dim, idx.scale)
+            for f in range(idx.tables * idx.hash_bits):
+                s0, s1, s2 = _signs(seed, f + 1, d)[f]
+                rot = d**-1.5 * hadamard @ (s2[:, None] * hadamard) @ (s1[:, None] * hadamard) * s0
+                y = x @ rot[: idx.cp_dim, :40].T
+                rank = np.argsort(-np.abs(y), axis=1, kind="stable")
+                assert np.array_equal(codes[:, f], 2 * rank[:, 0] + (y[rows, rank[:, 0]] < 0))
+                if idx.cp_dim > 1:
+                    assert np.array_equal(alts[:, f], 2 * rank[:, 1] + (y[rows, rank[:, 1]] < 0))
+                    top2 = np.abs(y[rows, rank[:, 0]]) - np.abs(y[rows, rank[:, 1]])
+                    assert np.allclose(margins[:, f], top2, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [12, 66, 130])
     @pytest.mark.parametrize("cp_dim", [1, 2, 8, None])
-    def test_cp_hash_is_function_0_of_the_index(self, rng, dim, cp_dim):
+    def test_fewer_functions_are_a_prefix(self, rng, dim, cp_dim):
         x = rng.normal(size=(200, dim))
         for seed in (0, 7, 2**40 + 3):
+            one = LshIndex(np.arange(200), x, tables=1, hash_bits=1, seed=seed, cp_dim=cp_dim)
             idx = LshIndex(np.arange(200), x, tables=3, hash_bits=4, seed=seed, cp_dim=cp_dim)
-            codes, alts, margins = idx._hash_all(x, want_probes=True)
-            code, alt, margin = CpHashFunction(dim, seed=seed, cp_dim=cp_dim).hash_batch(x)
-            assert np.array_equal(codes[:, 0, 0], code)
-            assert np.array_equal(alts[:, 0, 0], alt)
-            assert np.array_equal(margins[:, 0, 0], margin.astype(np.float32))
+            assert np.array_equal(one.proj, idx.proj[:, : idx.cp_dim])
+            got = one._hash_all(x, want_probes=True)
+            want = idx._hash_all(x, want_probes=True)
+            for g, w in zip(got, want):
+                assert np.array_equal(g[:, 0, 0], w[:, 0, 0])
 
     def test_hashing_memory_bounded(self, rng):
         x = _unit_rows(rng, 1024, 66)
@@ -292,7 +267,7 @@ def _table_stores(idx):
 class TestBuildIndex:
     def test_single_vector_in_all_tables(self, rng):
         v = _unit_rows(rng, 1, 10)[0]
-        idx = build_index([(7, v)], tables=3, hash_bits=2, seed=0)
+        idx = LshIndex([7], v[None, :], tables=3, hash_bits=2, seed=0)
         total_buckets = sum(len(keys) for keys, _, _ in _table_stores(idx))
         total_entries = sum(lens.sum() for _, lens, _ in _table_stores(idx))
         assert total_buckets == 3
@@ -300,15 +275,14 @@ class TestBuildIndex:
 
     def test_identical_vectors_collide_everywhere(self, rng):
         v = _unit_rows(rng, 1, 12)[0]
-        idx = build_index([(0, v), (1, v.copy())], tables=5, hash_bits=3, seed=1)
+        idx = LshIndex([0, 1], np.stack([v, v]), tables=5, hash_bits=3, seed=1)
         for keys, lens, _ in _table_stores(idx):
             assert len(keys) == 1
             assert lens.sum() == 2
 
     def test_buckets_tile_each_table(self, rng):
-        vs = [(i, v) for i, v in enumerate(_unit_rows(rng, 30, 10))]
-        idx = build_index(vs, tables=4, hash_bits=2, seed=3)
-        n = len(vs)
+        n = 30
+        idx = LshIndex(np.arange(n), _unit_rows(rng, n, 10), tables=4, hash_bits=2, seed=3)
         for tbl, (keys, lens, entries) in enumerate(_table_stores(idx)):
             assert np.all(keys[1:] > keys[:-1])
             b = slice(idx._table_offsets[tbl], idx._table_offsets[tbl + 1])
@@ -318,16 +292,16 @@ class TestBuildIndex:
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInputError):
-            build_index([], tables=2, hash_bits=2)
+            LshIndex([], np.zeros((0, 8)), tables=2, hash_bits=2)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            build_index([(0, np.zeros(8))], tables=2, hash_bits=2)
+            LshIndex([0], np.zeros((1, 8)), tables=2, hash_bits=2)
 
     def test_deterministic(self, rng):
-        vs = [(i, v) for i, v in enumerate(_unit_rows(rng, 20, 10))]
-        a = build_index(vs, tables=4, hash_bits=3, seed=9)
-        b = build_index(vs, tables=4, hash_bits=3, seed=9)
+        rows = _unit_rows(rng, 20, 10)
+        a = LshIndex(np.arange(20), rows, tables=4, hash_bits=3, seed=9)
+        b = LshIndex(np.arange(20), rows, tables=4, hash_bits=3, seed=9)
         for (k1, _, p1), (k2, _, p2) in zip(_table_stores(a), _table_stores(b)):
             assert np.array_equal(k1, k2)
             assert np.array_equal(p1, p2)
@@ -336,39 +310,39 @@ class TestBuildIndex:
 class TestQuery:
     def test_stored_vector_found_first(self, rng):
         rows = _unit_rows(rng, 50, 18)
-        idx = build_index(list(enumerate(rows)), tables=12, hash_bits=3, seed=4)
+        idx = LshIndex(np.arange(len(rows)), rows, tables=12, hash_bits=3, seed=4)
         res = query(idx, rows[17], k=5, exclude_id=999)
         assert res[0][0] == 17
         assert res[0][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_self_exclusion(self, rng):
         rows = _unit_rows(rng, 30, 14)
-        idx = build_index(list(enumerate(rows)), tables=10, hash_bits=2, seed=4)
+        idx = LshIndex(np.arange(len(rows)), rows, tables=10, hash_bits=2, seed=4)
         res = query(idx, rows[3], k=5, exclude_id=3)
         assert all(rid != 3 for rid, _ in res)
 
     def test_empty_result_when_only_self(self, rng):
         v = _unit_rows(rng, 1, 10)[0]
-        idx = build_index([(0, v)], tables=4, hash_bits=2, seed=0)
+        idx = LshIndex([0], v[None, :], tables=4, hash_bits=2, seed=0)
         assert query(idx, v, k=3, exclude_id=0) == []
 
     def test_scores_are_exact_inner_products(self, rng):
         rows = _unit_rows(rng, 60, 16)
-        idx = build_index(list(enumerate(rows)), tables=10, hash_bits=2, seed=2)
+        idx = LshIndex(np.arange(len(rows)), rows, tables=10, hash_bits=2, seed=2)
         q = _unit_rows(rng, 1, 16)[0]
         for rid, score in query(idx, q, k=20, probes_per_table=2):
             assert score == pytest.approx(float(rows[rid] @ q), abs=1e-12)
 
     def test_results_sorted_desc_then_id(self, rng):
         rows = _unit_rows(rng, 80, 12)
-        idx = build_index(list(enumerate(rows)), tables=8, hash_bits=2, seed=5)
+        idx = LshIndex(np.arange(len(rows)), rows, tables=8, hash_bits=2, seed=5)
         res = query(idx, _unit_rows(rng, 1, 12)[0], k=30, probes_per_table=2)
         for (ra, sa), (rb, sb) in zip(res, res[1:]):
             assert sa > sb or (sa == sb and ra < rb)
 
     def test_multiprobe_supersets_candidates(self, rng):
         rows = _unit_rows(rng, 100, 16)
-        idx = build_index(list(enumerate(rows)), tables=6, hash_bits=4, seed=6)
+        idx = LshIndex(np.arange(len(rows)), rows, tables=6, hash_bits=4, seed=6)
         qs = _unit_rows(rng, 20, 16)
         _, c1, _ = idx.query_batch(qs, k=100, probes_per_table=1)
         _, c4, _ = idx.query_batch(qs, k=100, probes_per_table=4)
@@ -378,7 +352,7 @@ class TestQuery:
         # probes=4 uses the closed form; probes=5+ the heap. The first 4
         # probe keys must coincide.
         rows = _unit_rows(rng, 40, 12)
-        idx = build_index(list(enumerate(rows)), tables=3, hash_bits=5, seed=8)
+        idx = LshIndex(np.arange(len(rows)), rows, tables=3, hash_bits=5, seed=8)
         base = np.array([123456789], dtype=np.uint64)
         deltas = rng.integers(1, 2**60, size=(1, 5)).astype(np.uint64)
         margins = rng.uniform(0.0, 1.0, size=(1, 5)).astype(np.float32)
@@ -389,13 +363,13 @@ class TestQuery:
 
     def test_zero_query_rejected(self, rng):
         rows = _unit_rows(rng, 5, 8)
-        idx = build_index(list(enumerate(rows)), tables=2, hash_bits=2, seed=0)
+        idx = LshIndex(np.arange(len(rows)), rows, tables=2, hash_bits=2, seed=0)
         with pytest.raises(ValueError):
             query(idx, np.zeros(8), k=2)
 
     def test_batch_matches_single(self, rng):
         rows = _unit_rows(rng, 60, 16)
-        idx = build_index(list(enumerate(rows)), tables=8, hash_bits=3, seed=3)
+        idx = LshIndex(np.arange(len(rows)), rows, tables=8, hash_bits=3, seed=3)
         qs = _unit_rows(rng, 10, 16)
         batch, _, _ = idx.query_batch(qs, k=5, probes_per_table=2)
         for i in range(10):
@@ -454,7 +428,9 @@ class TestProbeOrder:
 
 
 @st.composite
-def _index_and_queries(draw):
+def _pool_and_queries(draw):
+    """(dim, ride ids, entry ids, entry rows, query rows). Rows are halved
+    small-integer vectors, so every inner product and every tie is exact."""
     dim = draw(st.integers(2, 9))
     vec = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
     pool = draw(st.lists(vec, min_size=1, max_size=5))  # shared rows give equal scores
@@ -465,15 +441,21 @@ def _index_and_queries(draw):
             ids.append(rid)
             rows.append(draw(st.sampled_from(pool)))
     queries = draw(st.lists(st.one_of(st.sampled_from(pool), vec), min_size=1, max_size=6))
+    return dim, ride_ids, ids, np.array(rows, dtype=float) / 2, np.array(queries, dtype=float) / 2
+
+
+@st.composite
+def _index_and_queries(draw):
+    dim, ride_ids, ids, rows, queries = draw(_pool_and_queries())
     exclude = draw(st.none() | st.lists(st.sampled_from(ride_ids + [999]), min_size=len(queries),
                                         max_size=len(queries)))
     tables = draw(st.integers(1, 4))
     hash_bits = draw(st.integers(1, 3))
     cp_dim = draw(st.integers(1, 2 ** (dim - 1).bit_length()))  # up to the padded width
     seed = draw(st.integers(0, 2**32))
-    idx = LshIndex(ids, np.array(rows, dtype=float) / 2, tables, hash_bits, seed, cp_dim)
+    idx = LshIndex(ids, rows, tables, hash_bits, seed, cp_dim)
     excl = None if exclude is None else np.array(exclude, dtype=np.int64)
-    return idx, np.array(queries, dtype=float) / 2, excl
+    return idx, queries, excl
 
 
 class TestRanking:
@@ -498,36 +480,30 @@ class TestRanking:
         _assert_same_query_batch(got, _reference_query_batch(idx, qmat, 12, 3, excl))
 
 
-class TestCollisionProbability:
-    def test_monotone_in_angle(self):
-        """Single-hash collision rate is non-increasing in angle; 0 at pi."""
-        d = 16
-        u = np.zeros(d)
-        u[0] = 1.0
-        angles = [0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2]
-        n_fns = 400
-        rates = []
-        for theta in angles:
-            v = np.cos(theta) * u
-            v[1] = np.sin(theta)
-            hits = 0
-            for seed in range(n_fns):
-                h = CpHashFunction(d, seed=seed)
-                pair = h.hash_batch(np.stack([u, v]))[0]
-                hits += pair[0] == pair[1]
-            rates.append(hits / n_fns)
-        assert rates[0] == 1.0
-        se = 1.0 / np.sqrt(n_fns)
-        violations = [b - a for a, b in zip(rates, rates[1:]) if b > a]
-        assert len(violations) <= 1
-        assert all(v <= se for v in violations)
-        # antipodal: exactly zero
-        hits = 0
-        for seed in range(n_fns):
-            h = CpHashFunction(d, seed=seed)
-            pair = h.hash_batch(np.stack([u, -u]))[0]
-            hits += pair[0] == pair[1]
-        assert hits == 0
+class TestFullProbe:
+    """With cp_dim=1 a function has two codes, so 2**hash_bits probes per
+    table reach every bucket and query_batch is the exact top-k."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=_pool_and_queries(),
+        tables=st.integers(1, 3),
+        hash_bits=st.integers(1, 4),
+        k=st.integers(1, 30),
+        seed=st.integers(0, 2**32),
+    )
+    def test_every_bucket_probed_gives_exact_top_k(self, data, tables, hash_bits, k, seed):
+        _, _, ids, rows, queries = data
+        idx = LshIndex(ids, rows, tables, hash_bits, seed, cp_dim=1)
+        results, distinct, _ = idx.query_batch(queries, k, probes_per_table=2**hash_bits)
+        assert np.array_equal(distinct, np.full(len(queries), len(ids)))
+        for q, got in zip(queries, results):
+            best: dict[int, float] = {}
+            for rid, row in zip(ids, rows):
+                best[rid] = max(best.get(rid, -math.inf), float(row @ q))
+            want = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+            assert [rid for rid, _ in got] == [rid for rid, _ in want]
+            assert np.allclose([s for _, s in got], [s for _, s in want], rtol=0.0, atol=1e-12)
 
 
 class TestFindPotentialMatches:
