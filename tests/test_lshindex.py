@@ -175,13 +175,21 @@ class TestProjectionHash:
 
     @pytest.mark.parametrize("perturb", [0.0, 1e-13])
     def test_zero_rule_through_index(self, rng, perturb):
+        idx = LshIndex(np.arange(20), _unit_rows(rng, 20, 12), tables=3, hash_bits=4, seed=5, cp_dim=1)
+        for f in range(idx.tables * idx.hash_bits):
+            x = self._zero_on(idx.proj, f, perturb)
+            codes, alts, margins = idx._hash_all(x[None, :], want_probes=True)
+            tbl, bit = divmod(f, idx.hash_bits)
+            assert (codes[0, tbl, bit], alts[0, tbl, bit], margins[0, tbl, bit]) == (0, 1, 0.0)
+
+    @pytest.mark.parametrize("perturb", [0.0, 1e-13])
+    def test_zero_rule_through_hash_batch(self, rng, perturb):
+        # one hash function, hashed as a batch of one row, over seeds 0-9
         for seed in range(10):
-            idx = LshIndex(np.arange(20), _unit_rows(rng, 20, 12), tables=3, hash_bits=4, seed=seed, cp_dim=1)
-            for f in range(idx.tables * idx.hash_bits):
-                x = self._zero_on(idx.proj, f, perturb)
-                codes, alts, margins = idx._hash_all(x[None, :], want_probes=True)
-                tbl, bit = divmod(f, idx.hash_bits)
-                assert (codes[0, tbl, bit], alts[0, tbl, bit], margins[0, tbl, bit]) == (0, 1, 0.0)
+            idx = LshIndex(np.arange(20), _unit_rows(rng, 20, 12), tables=1, hash_bits=1, seed=seed, cp_dim=1)
+            x = self._zero_on(idx.proj, 0, perturb)
+            codes, alts, margins = idx._hash_all(x[None, :], want_probes=True)
+            assert (codes[0, 0, 0], alts[0, 0, 0], margins[0, 0, 0]) == (0, 1, 0.0)
 
     @pytest.mark.parametrize("cp_dim", [1, 2, 8, None])
     def test_codes_are_argmax_of_rotation(self, rng, cp_dim):
