@@ -189,9 +189,6 @@ class LshIndex:
     """
 
     _QUERY_CHUNK = 1024
-    # Candidate pairs re-scored per einsum. It bounds the two gathered
-    # (pairs x dim) row blocks; larger chunks cost memory and were no faster.
-    _PAIR_CHUNK = 16_384
     # Projected values per hashing block (16 MB of float64). It bounds the
     # (rows x functions*cp_dim) product and the top-2 temporaries, and the
     # block of rotation rows built at construction.
@@ -429,34 +426,30 @@ class LshIndex:
         pair = pair[_first_of_runs(pair)]
         qidx, rank = np.divmod(pair, n)
         pos = self._by_ride[rank]
-        distinct = np.bincount(qidx, minlength=nq).astype(np.int64)
-        scores = np.empty(len(pos))
-        for lo in range(0, len(pos), self._PAIR_CHUNK):
-            hi = min(lo + self._PAIR_CHUNK, len(pos))
-            scores[lo:hi] = np.einsum("ij,ij->i", self.matrix[pos[lo:hi]], qmat[qidx[lo:hi]])
-        # each ride's best route, then per query: descending score, ties by
-        # ride id (the stable sort keeps the ride id order), the first k
         rids = self.ids[pos]
-        starts = np.flatnonzero(_first_of_runs(qidx, rids))
-        scores = np.maximum.reduceat(scores, starts)
-        qidx, rids = qidx[starts], rids[starts]
-        order = np.lexsort((-scores, qidx))
-        qidx, rids, scores = qidx[order], rids[order], scores[order]
-        bounds = np.searchsorted(qidx, np.arange(nq + 1))
-        top = np.arange(len(qidx)) - bounds[qidx] < k
-        rids, scores = rids[top].tolist(), scores[top].tolist()
-        bounds = np.searchsorted(qidx[top], np.arange(nq + 1))
-        results = [
-            list(zip(rids[s:e], scores[s:e])) for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-        ]
-        return results, distinct, raw_counts
+        bounds = np.searchsorted(qidx, np.arange(nq + 1)).tolist()
+        # per query, against its own row (only data rows are gathered, one
+        # query's candidates at a time): each ride's best route, the rides at
+        # or above the k-th score, then descending score, where the stable
+        # sort keeps the ride id order on ties
+        results = []
+        for row, s, e in zip(qmat, bounds[:-1], bounds[1:]):
+            scores = np.einsum("ij,j->i", self.matrix[pos[s:e]], row)
+            seg = rids[s:e]
+            starts = np.flatnonzero(_first_of_runs(seg))
+            scores, top = np.maximum.reduceat(scores, starts), seg[starts]
+            if len(scores) > k:
+                keep = scores >= np.partition(scores, -k)[-k]
+                scores, top = scores[keep], top[keep]
+            order = np.argsort(-scores, kind="stable")[:k]
+            results.append(list(zip(top[order].tolist(), scores[order].tolist())))
+        return results, np.diff(bounds), raw_counts
 
 
-def _first_of_runs(*keys):
-    """Mask of the entries that start a run of equal key tuples in sorted arrays."""
-    first = np.ones(len(keys[0]), dtype=bool)
-    if len(first):
-        first[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+def _first_of_runs(keys):
+    """Mask of the entries that start a run of equal keys in a sorted array."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
     return first
 
 

@@ -367,18 +367,24 @@ def batch_route(net: RoadNetwork, requests, ledger: RoutingLedger) -> list[Route
 
 
 def batch_route_multi(
-    net: RoadNetwork, requests, ledger: RoutingLedger, alternates: int = 1
+    net: RoadNetwork, requests, ledger: RoutingLedger, alternates: int = 1, nodes=None
 ) -> list[list[Route] | None]:
     """Batch variant returning all alternates per request (still 1 call each).
 
-    Every endpoint is snapped in one pass, and each distinct snapped (s, t)
-    pair is routed once, with one shortest-path tree per source. The requests
-    of one pair get their own lists of the same read-only Routes, equal to
-    what route() returns for each.
+    Every endpoint is snapped in one pass, unless `nodes` already holds each
+    request's origin and destination nodes (as net.nearest_nodes gives them),
+    in request order. Each distinct snapped (s, t) pair is routed once, with
+    one shortest-path tree per source. The requests of one pair get their
+    own lists of the same read-only Routes, equal to what route() returns for
+    each.
     """
     requests = list(requests)
-    ends = [p for pair in requests for p in pair]
-    nodes = net.nearest_nodes([p.lat for p in ends], [p.lon for p in ends])
+    if nodes is None:
+        ends = [p for pair in requests for p in pair]
+        nodes = net.nearest_nodes([p.lat for p in ends], [p.lon for p in ends])
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.shape != (2 * len(requests),):
+        raise ValueError(f"need 2 snapped nodes per request, got {nodes.shape} for {len(requests)}")
     pairs, inverse = np.unique(nodes[0::2] * net.n_nodes + nodes[1::2], return_inverse=True)
     trees: dict[int, np.ndarray] = {}
     routed: list[list[Route] | None] = []

@@ -47,9 +47,12 @@ class Workload:
     skipped: dict[str, int] = field(default_factory=dict)
 
 
-def _build_rides(points, times, net, ledger, alternates, start_id=0):
-    """Route (pickup, dropoff) pairs and assemble Rides; drops same-node pairs."""
-    routed = batch_route_multi(net, points, ledger, alternates=alternates)
+def _build_rides(points, times, net, ledger, alternates, start_id=0, nodes=None):
+    """Route (pickup, dropoff) pairs and assemble Rides; drops same-node pairs.
+
+    nodes, if given, are the points' snapped (pickup, dropoff) nodes in order.
+    """
+    routed = batch_route_multi(net, points, ledger, alternates=alternates, nodes=nodes)
     rides = []
     dropped = {"same_node": 0, "unreachable": 0}
     rid = start_id
@@ -206,7 +209,7 @@ def synth_commute(
     if pulse_s:
         n_pulses = max(1, int((window[1] - window[0]) // pulse_s))
 
-    points, times = [], []
+    points, times, nodes = [], [], []
     # Oversample: pairs snapping to the same node are dropped, so draw until
     # exactly n valid rides exist.
     while len(points) < n:
@@ -239,7 +242,8 @@ def synth_commute(
                 continue
             points.append((GeoPoint(plat[i], plon[i]), GeoPoint(qlat[i], qlon[i])))
             times.append(t[i])
-    rides, dropped = _build_rides(points, times, net, ledger, alternates)
+            nodes += (snaps_p[i], snaps_q[i])
+    rides, dropped = _build_rides(points, times, net, ledger, alternates, nodes=nodes)
     return Workload(rides=rides, label=f"synth-{mode}", load_fraction=1.0, skipped=dropped)
 
 

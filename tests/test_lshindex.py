@@ -487,6 +487,49 @@ class TestRanking:
         got = idx.query_batch(qmat, 12, 3, exclude_ids=excl)
         _assert_same_query_batch(got, _reference_query_batch(idx, qmat, 12, 3, excl))
 
+    def test_ties_at_the_kth_score_go_to_the_lowest_ride_ids(self, rng):
+        # 40 rides share one row, so they tie exactly at the k-th score; ride
+        # 90 scores higher, rides 0-9 lower, and every tied ride has a second,
+        # lower route. Entry positions are shuffled so that they do not follow
+        # ride ids. cp_dim=1 with 2**hash_bits probes retrieves every entry.
+        tied = np.arange(40, 80)
+        ids = np.concatenate([[90], np.arange(10), tied, tied])
+        rows = np.empty((len(ids), 6))
+        rows[0] = [1.0, 0, 0, 0, 0, 0]
+        rows[1:11] = [-0.5, 0.5, 0.5, 0.5, 0.5, 0]
+        rows[11:51] = [0.6, 0.8, 0, 0, 0, 0]
+        rows[51:] = [0.0, 0, 0.8, 0.6, 0, 0]
+        perm = rng.permutation(len(ids))
+        idx = LshIndex(ids[perm], rows[perm], tables=2, hash_bits=2, seed=3, cp_dim=1)
+        qmat = np.array([[1.0, 0, 0, 0, 0, 0], [0.6, 0.8, 0, 0, 0, 0]])
+        k = 5
+        results, distinct, _ = idx.query_batch(qmat, k, probes_per_table=4)
+        assert np.array_equal(distinct, [len(ids), len(ids)])
+        assert [rid for rid, _ in results[0]] == [90, 40, 41, 42, 43]
+        assert [rid for rid, _ in results[1]] == [40, 41, 42, 43, 44]
+        assert len({s for _, s in results[0][1:]}) == 1
+        for i, q in enumerate(qmat):
+            assert query(idx, q, k, probes_per_table=4) == results[i]
+        excl = np.array([40, 41])
+        _assert_same_query_batch(
+            idx.query_batch(qmat, k, 4, exclude_ids=excl), _reference_query_batch(idx, qmat, k, 4, excl)
+        )
+
+    def test_ranking_memory_bounded(self, rng):
+        # One query's candidate rows are gathered at a time, so the peak is
+        # the chunk's pair arrays (about 440k raw pairs here), not
+        # (pairs x dim) row blocks.
+        idx = LshIndex(np.arange(1200), _unit_rows(rng, 1200, 66), tables=20, hash_bits=8, seed=3, cp_dim=1)
+        qmat = _unit_rows(rng, 1024, 66)
+        tracemalloc.start()
+        try:
+            _, _, raw = idx.query_batch(qmat, 10, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raw.sum() > 400_000
+        assert peak < 24 * 2**20
+
 
 class TestFullProbe:
     """With cp_dim=1 a function has two codes, so 2**hash_bits probes per

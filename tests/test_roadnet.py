@@ -318,6 +318,15 @@ class TestBatchRouteMulti:
         first.append(first[0])
         assert len(again) == len(out[7]) == len(first) - 1
 
+    def test_given_nodes_are_routed_without_snapping(self, city_and_island):
+        net = city_and_island
+        requests = [(net.node_point(0), net.node_point(35)), (net.node_point(14), net.node_point(2))]
+        out = batch_route_multi(net, requests, RoutingLedger(), alternates=2, nodes=[5, 30, 14, 2])
+        assert out[0] == route(net, net.node_point(5), net.node_point(30), alternates=2)
+        assert out[1] == route(net, net.node_point(14), net.node_point(2), alternates=2)
+        with pytest.raises(ValueError, match="2 snapped nodes per request"):
+            batch_route_multi(net, requests, RoutingLedger(), nodes=[5, 30, 14])
+
 
 class TestSnapping:
     def test_exact_ties_go_to_the_lowest_node_id(self):
