@@ -8,7 +8,6 @@ from .roadnet import (
     RoadNetwork,
     Route,
     RoutingLedger,
-    batch_route,
     build_city_network,
     build_grid_network,
     route,
@@ -32,7 +31,6 @@ __all__ = [
     "RoadNetwork",
     "Route",
     "RoutingLedger",
-    "batch_route",
     "build_city_network",
     "build_grid_network",
     "route",

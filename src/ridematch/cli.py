@@ -143,7 +143,6 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
         "U": _Key(_NUMBER, LshConfig.max_norm, ((lambda v: 0 < v < 1), "in (0, 1)"), arg="max_norm"),
         "seed": _Key(int),  # derived from the top-level seed when unset
         "k": _Key(int, rule=_at_least(1)),  # the top-level k when unset
-        "center": _Key(bool, LshConfig.center),
     },
     "baseline": {
         "m_candidates": _Key(int, baselines.DEFAULT_M_CANDIDATES),

@@ -162,7 +162,6 @@ class LshConfig:
     max_norm: float = 0.75
     seed: int = 0
     k: int = 10
-    center: bool = False
 
 
 @dataclass
@@ -514,9 +513,6 @@ def find_potential_matches(
         return matches, MatchSearchSummary(len(rides), 0, sorted(degenerate), empty, empty)
 
     data = np.stack([feature_hash(v, cfg.dim, fh_seed, fh_memo) for v in sparse_rows])
-    center = data.mean(axis=0) if cfg.center else None
-    if center is not None:
-        data = data - center
     data, _scale = normalize_dataset(data, cfg.max_norm)
     pmat = transform_P_batch(data, cfg.norm_terms)
     index = LshIndex(entry_ids, pmat, cfg.tables, cfg.hash_bits, index_seed, cp_dim=cfg.cp_dim)
@@ -525,8 +521,6 @@ def find_potential_matches(
     qrows = []
     for rid in query_order:
         qv = feature_hash(query_sparse[rid], cfg.dim, fh_seed, fh_memo)
-        if center is not None:
-            qv = qv - center
         try:
             qrows.append(unit_normalize(qv))
         except DegenerateInputError:

@@ -2,8 +2,8 @@
 
 A synthetic Manhattan-style grid stands in for a real routing service: it keeps
 the O(n^2) ground-truth evaluation affordable and removes the network
-dependency. The route()/batch_route() signatures are the seam where a real
-routing client could be substituted.
+dependency. The route()/batch_route_multi() signatures are the seam where a
+real routing client could be substituted.
 """
 
 from __future__ import annotations
@@ -33,6 +33,15 @@ BATCH_LATENCY_MS = 10.0
 
 # (point, node) distances per snapping block (see RoadNetwork.nearest_nodes)
 _SNAP_BLOCK = 2**18
+
+# A point's own snapping-grid cell and the 26 around it, as (x, y, z) offsets
+_NEIGHBOUR_CELLS = np.indices((3, 3, 3)).reshape(3, -1).T - 1
+# Slack on the nearest chord: far above the rounding error of the chord and of
+# the haversine, so no node the haversine could rank first is pruned
+_CHORD_REL_SLACK = 1e-7
+_CHORD_ABS_SLACK = 1e-9
+# Smallest snapping-grid cell edge, as a chord of the unit sphere (about 6 m)
+_MIN_CELL = 1e-6
 
 
 class NoRouteError(RuntimeError):
@@ -82,28 +91,101 @@ def _csr_graph(indptr, indices, weights) -> csr_matrix:
     return csr_matrix((weights, indices, indptr), shape=(n, n))
 
 
-def _sssp(indptr, indices, weights, source: int) -> tuple[np.ndarray, np.ndarray]:
+def _sssp(graph: csr_matrix, tails: np.ndarray, source: int) -> tuple[np.ndarray, np.ndarray]:
     """Single-source shortest paths on a CSR graph; returns (dist, pred_edge).
 
-    pred_edge[v] is the CSR position of v's tree edge, under one tie rule:
-    among the in-edges (u, v, w) of v with finite dist[u] and
-    dist[u] + w == dist[v], the tree edge is the one with the smallest
-    (dist[u], u, position), which is the tree a (distance, node)-ordered heap
-    Dijkstra builds. Weights must be positive; the source and unreachable
-    nodes get -1.
+    tails[e] is the tail node of CSR position e. pred_edge[v] is the CSR
+    position of v's tree edge, under one tie rule: among the in-edges
+    (u, v, w) of v with finite dist[u] and dist[u] + w == dist[v], the tree
+    edge is the one with the smallest (dist[u], u, position), which is the
+    tree a (distance, node)-ordered heap Dijkstra builds. Weights must be
+    positive; the source and unreachable nodes get -1.
     """
-    n = len(indptr) - 1
-    dist = dijkstra(_csr_graph(indptr, indices, weights), directed=True, indices=source)
-    tails = np.repeat(np.arange(n), np.diff(indptr))
+    heads, weights = graph.indices, graph.data
+    dist = dijkstra(graph, directed=True, indices=source)
     du = dist[tails]
-    tight = np.flatnonzero(np.isfinite(du) & (du + weights == dist[indices]))
-    v = indices[tight]
-    # positions ascend with the tail u, so they stand in for (u, position)
+    tight = np.flatnonzero(np.isfinite(du) & (du + weights == dist[heads]))
+    v = heads[tight]
+    pred_edge = np.full(len(dist), -1, dtype=np.int64)
+    pred_edge[v] = tight
+    # only heads with two or more tight in-edges need the rule; positions
+    # ascend with the tail u, so they stand in for (u, position)
+    tied = np.bincount(v, minlength=len(dist))[v] > 1
+    tight, v = tight[tied], v[tied]
     order = np.lexsort((tight, du[tight], v))
-    heads, first = np.unique(v[order], return_index=True)
-    pred_edge = np.full(n, -1, dtype=np.int64)
-    pred_edge[heads] = tight[order][first]
+    v = v[order]
+    first = np.flatnonzero(np.diff(v, prepend=-1))
+    pred_edge[v[first]] = tight[order][first]
     return dist, pred_edge
+
+
+def _unit_vectors(lats, lons) -> np.ndarray:
+    """Points on the unit sphere, one row each. The chord between two of them
+    grows strictly with their great-circle angle, so with the haversine."""
+    phi, lam = np.radians(lats), np.radians(lons)
+    return np.stack([np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi)], axis=1)
+
+
+def _blocks(sizes: np.ndarray):
+    """Consecutive (start, stop) runs of items whose sizes sum to at most
+    _SNAP_BLOCK, at least one item each."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _SNAP_BLOCK, side="right")))
+        yield a, b
+        a = b
+
+
+@dataclass(frozen=True)
+class _SnapGrid:
+    """A hash grid over the nodes' unit vectors, for exact nearest-node search."""
+
+    edge: float  # cell edge, a chord length
+    low: np.ndarray  # cell coordinates of the lowest corner cell, (3,)
+    shape: np.ndarray  # cells per axis, (3,)
+    keys: np.ndarray  # sorted ids of the occupied cells
+    bounds: np.ndarray  # nodes of keys[i] are order[bounds[i]:bounds[i + 1]]
+    order: np.ndarray  # node ids by cell, ascending within a cell
+    xyz: np.ndarray  # node unit vectors, (V, 3)
+
+    def candidates(self, lats: np.ndarray, lons: np.ndarray):
+        """Yield, block by block, (point, node) pairs grouped by point: for each
+        point the grid settles, every node the haversine could rank first.
+
+        A point's candidates are the nodes in the 27 cells around it whose
+        chord is within a slack of the nearest one's. Every node within that
+        bound lies in those cells when it is shorter than a cell edge (with
+        room for the rounding of the cell coordinates); otherwise the point
+        is not settled and yields no pair. A block holds at most _SNAP_BLOCK
+        pairs before pruning, at least one point.
+        """
+        xyz = _unit_vectors(lats, lons)
+        start, count = self._cell_ranges(xyz)
+        sizes = count.sum(axis=1)
+        for a, b in _blocks(sizes):
+            c = count[a:b].ravel()
+            node = self.order[np.arange(c.sum()) + np.repeat(start[a:b].ravel() - np.cumsum(c) + c, c)]
+            pt = np.repeat(np.arange(a, b), sizes[a:b])
+            chord = np.sqrt(np.square(self.xyz[node] - xyz[pt]).sum(axis=1))
+            nearest = np.full(b - a, np.inf)
+            held = sizes[a:b] > 0
+            nearest[held] = np.minimum.reduceat(chord, (np.cumsum(sizes[a:b]) - sizes[a:b])[held])
+            bound = nearest * (1 + _CHORD_REL_SLACK) + _CHORD_ABS_SLACK
+            settled = bound <= self.edge * (1 - 1e-9)
+            keep = settled[pt - a] & (chord <= bound[pt - a])
+            yield pt[keep], node[keep]
+
+    def _cell_ranges(self, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per point, the (start, count) in `order` of each of the 27 cells
+        around it, shape (len(xyz), 27) each; count 0 for an empty cell."""
+        cells = np.clip(np.floor(xyz / self.edge) - self.low, -2, self.shape + 1).astype(np.int64)
+        around = cells[:, None, :] + _NEIGHBOUR_CELLS
+        inside = np.all((around >= 0) & (around < self.shape), axis=2)
+        key = np.where(inside, (around[..., 0] * self.shape[1] + around[..., 1]) * self.shape[2] + around[..., 2], -1)
+        at = np.minimum(np.searchsorted(self.keys, key), len(self.keys) - 1)
+        start = self.bounds[at]
+        return start, np.where(self.keys[at] == key, self.bounds[at + 1] - start, 0)
 
 
 class RoadNetwork:
@@ -141,6 +223,28 @@ class RoadNetwork:
         """Every node's point, built once on first use: routes share them."""
         return [GeoPoint(lat, lon) for lat, lon in zip(self.node_lat.tolist(), self.node_lon.tolist())]
 
+    @cached_property
+    def _graph(self) -> csr_matrix:
+        """The duration-weighted graph, built once on first use."""
+        return _csr_graph(self.indptr, self.edge_v, self.edge_duration)
+
+    @cached_property
+    def _snap_grid(self) -> _SnapGrid:
+        """The nodes' snapping grid, built once on first use. Its cell edge is
+        the mean node spacing of nodes spread over a square, so a cell holds
+        about one node and a point inside a grid of nodes is settled by the
+        cells around it."""
+        xyz = _unit_vectors(self.node_lat, self.node_lon)
+        edge = max(float(np.ptp(xyz, axis=0).max()) / math.sqrt(self.n_nodes), _MIN_CELL)
+        cells = np.floor(xyz / edge).astype(np.int64)
+        low = cells.min(axis=0)
+        cells -= low
+        shape = cells.max(axis=0) + 1
+        key = (cells[:, 0] * shape[1] + cells[:, 1]) * shape[2] + cells[:, 2]
+        order = np.argsort(key, kind="stable")
+        keys, first = np.unique(key[order], return_index=True)
+        return _SnapGrid(edge, low, shape, keys, np.append(first, self.n_nodes), order, xyz)
+
     def node_point(self, i: int) -> GeoPoint:
         return self._points[i]
 
@@ -149,29 +253,46 @@ class RoadNetwork:
 
     def nearest_nodes(self, lats, lons) -> np.ndarray:
         """The node nearest each point by haversine distance, the lowest node
-        id on a tie. Points are snapped in blocks of at most _SNAP_BLOCK
-        (point, node) distances, at least one point each."""
-        lats = np.asarray(lats, dtype=np.float64)[:, None]
-        lons = np.asarray(lons, dtype=np.float64)[:, None]
-        out = np.empty(len(lats), dtype=np.int64)
-        step = max(1, _SNAP_BLOCK // self.n_nodes)
+        id on a tie.
+
+        The snapping grid picks each point's candidates (_SnapGrid.candidates)
+        and the haversine decides among them; a point the grid does not
+        settle, one farther than a cell edge from every node, is compared with
+        all nodes. Each block evaluates at most _SNAP_BLOCK (point, node)
+        pairs, at least one point.
+        """
+        lats = np.asarray(lats, dtype=np.float64)
+        lons = np.asarray(lons, dtype=np.float64)
+        out = np.full(len(lats), -1, dtype=np.int64)
+        step = max(1, _SNAP_BLOCK // len(_NEIGHBOUR_CELLS))
         for lo in range(0, len(lats), step):
-            d = haversine_km_arrays(self.node_lat, self.node_lon, lats[lo : lo + step], lons[lo : lo + step])
-            out[lo : lo + step] = np.argmin(d, axis=1)
+            for pt, node in self._snap_grid.candidates(lats[lo : lo + step], lons[lo : lo + step]):
+                self._settle(lats, lons, pt + lo, node, out)
+        left = np.flatnonzero(out < 0)
+        for a, b in _blocks(np.full(len(left), self.n_nodes)):
+            pts = left[a:b]
+            self._settle(lats, lons, np.repeat(pts, self.n_nodes), np.tile(np.arange(self.n_nodes), len(pts)), out)
         return out
 
-    def distance_matrix(self, sources=None) -> np.ndarray:
-        """Shortest-path durations (seconds) from each of `sources` (every node
-        if None) to every node, one row per source; np.inf if unreachable.
+    def _settle(self, lats, lons, pt, node, out):
+        """out[p] = the node of least haversine distance among p's (pt, node)
+        pairs, the lowest id on a tie; the pairs come grouped by point."""
+        d = haversine_km_arrays(self.node_lat[node], self.node_lon[node], lats[pt], lons[pt])
+        first = np.flatnonzero(np.diff(pt, prepend=-1))
+        best = np.repeat(np.minimum.reduceat(d, first), np.diff(first, append=len(pt)))
+        out[pt[first]] = np.minimum.reduceat(np.where(d == best, node, self.n_nodes), first)
+
+    def distance_matrix(self, sources) -> np.ndarray:
+        """Shortest-path durations (seconds) from each of `sources` to every
+        node, one row per source; np.inf if unreachable.
 
         The rows not yet known are computed in one Dijkstra call and kept, so
         the memo never holds more than one row per node.
         """
-        sources = np.arange(self.n_nodes) if sources is None else np.asarray(sources, dtype=np.int64)
+        sources = np.asarray(sources, dtype=np.int64)
         missing = [s for s in dict.fromkeys(sources.tolist()) if s not in self._rows]
         if missing:
-            graph = _csr_graph(self.indptr, self.edge_v, self.edge_duration)
-            rows = dijkstra(graph, directed=True, indices=missing).reshape(len(missing), self.n_nodes)
+            rows = dijkstra(self._graph, directed=True, indices=missing).reshape(len(missing), self.n_nodes)
             self._rows.update(zip(missing, rows))
         return np.array([self._rows[s] for s in sources.tolist()]).reshape(len(sources), self.n_nodes)
 
@@ -327,15 +448,17 @@ def _pair_routes(net: RoadNetwork, s: int, t: int, alternates: int, trees: dict)
     if s == t:
         return [Route(points=[net.node_point(s)], segment_durations=[], total_duration=0.0, nodes=[s])]
     if s not in trees:
-        trees[s] = _sssp(net.indptr, net.edge_v, net.edge_duration, s)[1]
+        trees[s] = _sssp(net._graph, net.edge_u, s)[1]
     edges, best = _tree_route(net, trees[s], s, t)
     routes = [best]
     if alternates > 1:
         weights = net.edge_duration.copy()
+        graph = net._graph  # its int32 index arrays serve every re-solve
         seen_edge_sets = {frozenset(edges.tolist())}
         while len(routes) < alternates:
             weights[edges] *= ALT_EDGE_PENALTY
-            edges, cand = _tree_route(net, _sssp(net.indptr, net.edge_v, weights, s)[1], s, t)
+            reweighted = _csr_graph(graph.indptr, graph.indices, weights)
+            edges, cand = _tree_route(net, _sssp(reweighted, net.edge_u, s)[1], s, t)
             edge_set = frozenset(edges.tolist())
             if edge_set in seen_edge_sets or cand.total_duration > ALT_ACCEPT_RATIO * best.total_duration:
                 break
@@ -357,21 +480,15 @@ def route(net: RoadNetwork, origin: GeoPoint, dest: GeoPoint, alternates: int = 
     return _pair_routes(net, s, t, alternates, {})
 
 
-def batch_route(net: RoadNetwork, requests, ledger: RoutingLedger) -> list[Route | None]:
-    """Route each (origin, dest) request; None marks an unreachable pair.
-
-    Charges the ledger one call per request, split into batches of <= 100.
-    """
-    results = batch_route_multi(net, requests, ledger, alternates=1)
-    return [r[0] if r is not None else None for r in results]
-
-
 def batch_route_multi(
     net: RoadNetwork, requests, ledger: RoutingLedger, alternates: int = 1, nodes=None
 ) -> list[list[Route] | None]:
-    """Batch variant returning all alternates per request (still 1 call each).
+    """Route each (origin, dest) request; None marks an unreachable pair,
+    else up to `alternates` routes as route() gives them.
 
-    Every endpoint is snapped in one pass, unless `nodes` already holds each
+    Charges the ledger one call per request, split into batches of <= 100.
+
+    Every endpoint is snapped in one call, unless `nodes` already holds each
     request's origin and destination nodes (as net.nearest_nodes gives them),
     in request order. Each distinct snapped (s, t) pair is routed once, with
     one shortest-path tree per source. The requests of one pair get their

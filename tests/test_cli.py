@@ -75,11 +75,11 @@ class TestConfigValidation:
         raw = json.loads((DATA / "fixture_config.json").read_text())
         raw["lsh"] = {
             "tables": 3, "hash_bits": 5, "probes": 2, "dim": 32, "cp_dim": 4,
-            "m": 3, "U": 0.5, "seed": 99, "k": 7, "center": True,
+            "m": 3, "U": 0.5, "seed": 99, "k": 7,
         }
         assert ExperimentConfig.from_dict(raw).lsh_config() == LshConfig(
             tables=3, hash_bits=5, probes=2, dim=32, cp_dim=4,
-            norm_terms=3, max_norm=0.5, seed=99, k=7, center=True,
+            norm_terms=3, max_norm=0.5, seed=99, k=7,
         )
 
     def test_every_network_and_synth_key_reaches_its_argument(self, monkeypatch):
@@ -266,7 +266,7 @@ class TestMain:
             ("k", True, "lsh.k must be an integer, got True"),
             ("U", 1.0, "lsh.U must be in (0, 1), got 1.0"),
             ("seed", 1.5, "lsh.seed must be an integer, got 1.5"),
-            ("center", 1, "lsh.center must be a boolean, got 1"),
+            ("center", False, "unknown lsh key 'center'"),
         ):
             raw = json.loads((DATA / "fixture_config.json").read_text())
             raw["lsh"][key] = value
@@ -354,7 +354,7 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         for message in ("k must be >= 1, got 0", "lsh.probes must be >= 1, got 0",
-                        "lsh.dim must be a power of two >= 2, got 60", "lsh.center must be a boolean, got 'yes'",
+                        "lsh.dim must be a power of two >= 2, got 60", "unknown lsh key 'center'",
                         "network.rows must be an integer, got '21'", "network.kind must be \"city\" or \"grid\"",
                         "unknown network key 'size'", "unknown baseline key 'speed'"):
             assert message in err

@@ -5,19 +5,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 from ridematch import roadnet
 from ridematch.geo import GeoPoint, haversine_km_arrays
 from ridematch.roadnet import (
     ALT_ACCEPT_RATIO,
+    ALT_EDGE_PENALTY,
     NoRouteError,
     RoadNetwork,
     Route,
     RoutingLedger,
     _csr_graph,
     _sssp,
-    batch_route,
     batch_route_multi,
     build_city_network,
     build_grid_network,
@@ -70,6 +72,10 @@ def reference_sssp(indptr, indices, weights, source):
     return dist, pred_edge
 
 
+def tails_of(indptr):
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
 def random_int_digraph(rng, n):
     """CSR digraph with 0-3 out-edges per node (parallel edges allowed), weights in {1, 2, 3}."""
     edges = sorted(
@@ -98,7 +104,7 @@ class TestSssp:
         indptr = np.array([0, 2, 4, 5, 5], dtype=np.int64)
         indices = np.array([1, 2, 2, 3, 3], dtype=np.int64)
         weights = np.array([1.0, 4.0, 1.5, 5.0, 1.0])
-        dist, pred_edge = _sssp(indptr, indices, weights, 0)
+        dist, pred_edge = _sssp(_csr_graph(indptr, indices, weights), tails_of(indptr), 0)
         assert np.allclose(dist, [0.0, 1.0, 2.5, 3.5])
         assert pred_edge.tolist() == [-1, 0, 2, 4]
 
@@ -110,9 +116,9 @@ class TestSssp:
         unreachable = no_neighbour_source = tight_parallel = 0
         for g in graphs:
             indptr, indices, weights = g
-            tails = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+            graph, tails = _csr_graph(*g), tails_of(indptr)
             for s in range(len(indptr) - 1):
-                dist, pred_edge = _sssp(*g, s)
+                dist, pred_edge = _sssp(graph, tails, s)
                 ref_dist, ref_pred_edge = reference_sssp(*g, s)
                 assert np.array_equal(dist, ref_dist)
                 assert np.array_equal(pred_edge, ref_pred_edge)
@@ -124,6 +130,24 @@ class TestSssp:
                 tight_parallel += int(np.sum((tails[e + 1] == tails[e]) & (indices[e + 1] == indices[e])
                                              & (weights[e + 1] == weights[e])))
         assert unreachable > 0 and no_neighbour_source > 0 and tight_parallel > 0
+
+    def test_penalized_weights_match_reference_heap(self):
+        # as alternate routes re-solve: used edges penalized round after round
+        grid = build_grid_network(12, 12)
+        unit = RoadNetwork(grid.node_lat, grid.node_lon, grid.edge_u, grid.edge_v,
+                           np.ones(len(grid.edge_u)), grid.edge_length)  # every path ties
+        rng = np.random.default_rng(5)
+        for net, stride in ((unit, 1), (build_city_network(21, 21, 500.0, seed=42), 5)):
+            weights = net.edge_duration.copy()
+            for _ in range(3):
+                weights[rng.choice(len(weights), 60, replace=False)] *= ALT_EDGE_PENALTY
+                graph = _csr_graph(net.indptr, net.edge_v, weights)
+                for s in range(0, net.n_nodes, stride):
+                    dist, pred_edge = _sssp(graph, net.edge_u, s)
+                    ref_dist, ref_pred_edge = reference_sssp(net.indptr, net.edge_v, weights, s)
+                    assert np.array_equal(dist, ref_dist)
+                    assert np.array_equal(pred_edge, ref_pred_edge)
+            assert np.array_equal(net._graph.data, net.edge_duration)
 
 
 class TestGridNetwork:
@@ -226,7 +250,7 @@ class TestRoute:
 class TestBatchRoute:
     def test_single_request(self, grid5):
         ledger = RoutingLedger()
-        batch_route(grid5, [(grid5.node_point(0), grid5.node_point(5))], ledger)
+        batch_route_multi(grid5, [(grid5.node_point(0), grid5.node_point(5))], ledger)
         assert ledger.call_count == 1
         assert ledger.batch_count == 1
         assert ledger.simulated_latency_ms == 10.0
@@ -234,14 +258,14 @@ class TestBatchRoute:
     def test_250_requests_three_batches(self, grid5):
         ledger = RoutingLedger()
         reqs = [(grid5.node_point(0), grid5.node_point(5))] * 250
-        batch_route(grid5, reqs, ledger)
+        batch_route_multi(grid5, reqs, ledger)
         assert ledger.call_count == 250
         assert ledger.batch_count == 3
         assert ledger.simulated_latency_ms == 30.0
 
     def test_empty(self, grid5):
         ledger = RoutingLedger()
-        batch_route(grid5, [], ledger)
+        batch_route_multi(grid5, [], ledger)
         assert ledger.call_count == 0
         assert ledger.batch_count == 0
         assert ledger.simulated_latency_ms == 0.0
@@ -266,7 +290,7 @@ class TestBatchRoute:
         with pytest.raises(NoRouteError):
             route(net, GeoPoint(0.0, 0.0), GeoPoint(0.5, 0.0))
         ledger = RoutingLedger()
-        out = batch_route(net, [(GeoPoint(0.0, 0.0), GeoPoint(0.5, 0.0))], ledger)
+        out = batch_route_multi(net, [(GeoPoint(0.0, 0.0), GeoPoint(0.5, 0.0))], ledger)
         assert out == [None]
         assert ledger.call_count == 1
 
@@ -328,7 +352,53 @@ class TestBatchRouteMulti:
             batch_route_multi(net, requests, RoutingLedger(), nodes=[5, 30, 14])
 
 
+@st.composite
+def snap_cases(draw):
+    """(node lats, node lons, point lats, point lons, far): nodes scattered,
+    collinear or on a grid near a random origin, some at the coordinates of
+    another, in shuffled id order; points on the nodes, on midpoints of node
+    pairs and near the nodes, then `far` points at least 1 degree away."""
+    lat0, lon0 = draw(st.floats(-70.0, 70.0)), draw(st.floats(-170.0, 170.0))
+    offsets = st.floats(-0.02, 0.02)
+    layout = draw(st.sampled_from(["scatter", "collinear", "grid"]))
+    if layout == "grid":
+        side, step = draw(st.integers(1, 6)), draw(st.floats(1e-4, 0.004))
+        dlat, dlon = np.divmod(np.arange(side * side), side)
+        dlat, dlon = dlat * step, dlon * step
+    else:
+        n = draw(st.integers(1, 30))
+        dlat = np.array(draw(st.lists(offsets, min_size=n, max_size=n)))
+        if layout == "collinear":
+            dlat, dlon = dlat * draw(st.floats(-1.0, 1.0)), dlat * draw(st.floats(-1.0, 1.0))
+        else:
+            dlon = np.array(draw(st.lists(offsets, min_size=n, max_size=n)))
+    lat, lon = lat0 + dlat, lon0 + dlon
+    copies = draw(st.lists(st.integers(0, len(lat) - 1), max_size=4))
+    order = draw(st.permutations(range(len(lat) + len(copies))))
+    lat, lon = np.r_[lat, lat[copies]][order], np.r_[lon, lon[copies]][order]
+    node = st.integers(0, len(lat) - 1)
+    pairs = np.array(draw(st.lists(st.tuples(node, node), min_size=1, max_size=10)))
+    near = np.array(draw(st.lists(st.tuples(offsets, offsets), min_size=1, max_size=10)))
+    away = st.floats(1.0, 15.0) | st.floats(-15.0, -1.0)
+    far = np.array(draw(st.lists(st.tuples(away, st.floats(-8.0, 8.0)), min_size=1, max_size=5)))
+    plat = np.concatenate([lat, lat[pairs[:, 0]] / 2 + lat[pairs[:, 1]] / 2, lat0 + near[:, 0], lat0 + far[:, 0]])
+    plon = np.concatenate([lon, lon[pairs[:, 0]] / 2 + lon[pairs[:, 1]] / 2, lon0 + near[:, 1], lon0 + far[:, 1]])
+    return lat, lon, plat, plon, len(far)
+
+
 class TestSnapping:
+    @settings(max_examples=300, deadline=None)
+    @given(case=snap_cases())
+    def test_equals_brute_force_argmin(self, case):
+        lat, lon, plat, plon, far = case
+        net = RoadNetwork(lat, lon, [], [], [], [])
+        got = net.nearest_nodes(plat, plon)
+        for i, (a, b) in enumerate(zip(plat, plon)):
+            d = haversine_km_arrays(net.node_lat, net.node_lon, a, b)
+            assert got[i] == np.flatnonzero(d == d.min())[0]
+        # the grid settles none of the far points: the full scan does
+        assert all(len(pt) == 0 for pt, _ in net._snap_grid.candidates(plat[-far:], plon[-far:]))
+
     def test_exact_ties_go_to_the_lowest_node_id(self):
         corners = [(0.25, 0.25), (0.25, -0.25), (-0.25, 0.25), (-0.25, -0.25)]
         for order in itertools.permutations(corners):
@@ -375,7 +445,7 @@ class TestDistanceMatrix:
             assert got.shape == (len(sources), net.n_nodes)
             assert np.array_equal(got, full[np.asarray(sources, dtype=np.int64)])
         assert len(net._rows) == len(set(first.tolist()) | set(second.tolist()))
-        assert np.array_equal(net.distance_matrix(), full)
+        assert np.array_equal(net.distance_matrix(np.arange(net.n_nodes)), full)
         assert len(net._rows) == net.n_nodes
 
     def test_pairwise_utilities_memory_bounded(self):
@@ -402,7 +472,8 @@ class TestJsonRoundTrip:
         grid5.save_json(path)
         loaded = RoadNetwork.load_json(path)
         assert np.array_equal(loaded.edge_duration, grid5.edge_duration)
-        assert np.allclose(loaded.distance_matrix(), grid5.distance_matrix())
+        every = np.arange(grid5.n_nodes)
+        assert np.allclose(loaded.distance_matrix(every), grid5.distance_matrix(every))
 
     def test_bad_node_ids(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ from ridematch.utility import (
 
 def oracle_pair(net, a, b, max_delay_s):
     """Independent 4-ordering evaluation straight from the definitions."""
-    d = net.distance_matrix()
+    d = net.distance_matrix(np.arange(net.n_nodes))
     a_s, a_t, b_s, b_t = a.pickup_node, a.dropoff_node, b.pickup_node, b.dropoff_node
     orderings = {
         "ssTT": d[a_s, b_s] + d[b_s, a_t] + d[a_t, b_t],
@@ -53,7 +53,7 @@ class TestCombinedCost:
         # find a pair with far-apart pickups
         far = max(
             ((a, b) for a in rides[:10] for b in rides[:40]),
-            key=lambda p: city21.distance_matrix()[p[0].pickup_node, p[1].pickup_node],
+            key=lambda p: city21.distance_matrix([p[0].pickup_node])[0, p[1].pickup_node],
         )
         ev = combined_cost(far[0], far[1], city21, max_delay_s=1.0)
         assert not ev.feasible
@@ -86,7 +86,7 @@ class TestCombinedCost:
                 assert ev.utility == pytest.approx(utility, abs=1e-9)
 
     def test_best_ordering_legs_sum_to_combined(self, city21, small_workload):
-        d = city21.distance_matrix()
+        d = city21.distance_matrix(np.arange(city21.n_nodes))
         rides = small_workload.rides
         for a, b in zip(rides[:30], rides[40:70]):
             ev = combined_cost(a, b, city21)
