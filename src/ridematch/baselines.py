@@ -19,17 +19,37 @@ DEFAULT_NOMINAL_SPEED_MPS = 8.0
 _BLOCK = 2**18
 
 
-def _top_k(keys, cand, rows, ids, k):
+def _id_rank(ids):
+    """Each ride's rank in ascending id order, the order _top_k breaks ties in."""
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[np.argsort(ids, kind="stable")] = np.arange(len(ids))
+    return rank
+
+
+def _top_k(keys, cand, rows, id_rank, k):
     """Per row i, the positions of the k candidates with the smallest keys,
-    ride rows[i] excluded, ties by ascending ride id. Overwrites keys (rows ×
-    candidates); k must not exceed the candidates other than the ride."""
+    ride rows[i] excluded, ties by ascending ride id (id_rank from _id_rank).
+    Overwrites keys (rows × candidates); k must not exceed the candidates
+    other than the ride."""
     cand = np.broadcast_to(cand, keys.shape)
     keys[cand == rows[:, None]] = np.inf
-    order = np.lexsort((ids[cand], keys), axis=-1)[:, :k]
-    return np.take_along_axis(cand, order, axis=-1)
+    if k == 0:
+        return cand[:, :0]
+    # Every key below the k-th smallest is taken; of the keys tied with it,
+    # those of the lowest ids fill the rest. Only the k taken are sorted.
+    kth = np.partition(keys, k - 1, axis=1)[:, [k - 1]]
+    less = keys < kth
+    tie_ranks = id_rank[cand]
+    tie_ranks[keys != kth] = len(id_rank)
+    lowest = np.sort(np.partition(tie_ranks, k - 1, axis=1)[:, :k], axis=1)
+    last = np.take_along_axis(lowest, k - 1 - np.count_nonzero(less, axis=1)[:, None], axis=1)
+    cols = ((less | (tie_ranks <= last)).ravel().nonzero()[0] % keys.shape[1]).reshape(len(keys), k)
+    taken = np.take_along_axis(cand, cols, axis=1)
+    order = np.lexsort((id_rank[taken], np.take_along_axis(keys, cols, axis=1)), axis=-1)
+    return np.take_along_axis(taken, order, axis=1)
 
 
-def _rank_by_utility(ps, ds, costs, ids, rows, cand, k, max_delay_s, nominal_speed_mps):
+def _rank_by_utility(ps, ds, costs, id_rank, rows, cand, k, max_delay_s, nominal_speed_mps):
     """Per row, the positions of the k candidates of highest haversine utility:
     the exact evaluator's four pickup-first orderings with straight-line
     distances (km), whose minimum collapses to ss + tt + min(cross, cross',
@@ -44,7 +64,7 @@ def _rank_by_utility(ps, ds, costs, ids, rows, cand, k, max_delay_s, nominal_spe
     combined = ss + tt + np.minimum(np.minimum(s2t, st2), np.minimum(c_a, c_b))
     utility = np.maximum(0.0, c_a + c_b - combined)
     utility[ss * 1000.0 / nominal_speed_mps > max_delay_s] = 0.0
-    return _top_k(-utility, cand, rows, ids, k)
+    return _top_k(-utility, cand, rows, id_rank, k)
 
 
 def _search(rides, nearest, by_utility=None) -> dict[int, list[int]]:
@@ -54,6 +74,7 @@ def _search(rides, nearest, by_utility=None) -> dict[int, list[int]]:
     candidates, at most _BLOCK values (at least one row) each."""
     n = len(rides)
     ids = np.fromiter((r.id for r in rides), dtype=np.int64, count=n)
+    id_rank = _id_rank(ids)
     ps = np.array([[r.pickup.lat, r.pickup.lon] for r in rides])
     ds = np.array([[r.dropoff.lat, r.dropoff.lon] for r in rides])
     costs = haversine_km_arrays(ps[:, 0], ps[:, 1], ds[:, 0], ds[:, 1])
@@ -65,9 +86,9 @@ def _search(rides, nearest, by_utility=None) -> dict[int, list[int]]:
         cand = everyone
         if nearest is not None:
             dist = haversine_km_arrays(ps[rows, 0:1], ps[rows, 1:2], ps[cand, 0], ps[cand, 1])
-            cand = _top_k(dist, cand, rows, ids, nearest)
+            cand = _top_k(dist, cand, rows, id_rank, nearest)
         if by_utility is not None:
-            cand = _rank_by_utility(ps, ds, costs, ids, rows, cand, *by_utility)
+            cand = _rank_by_utility(ps, ds, costs, id_rank, rows, cand, *by_utility)
         out.update(zip(ids[rows].tolist(), ids[cand].tolist()))
     return out
 
@@ -106,4 +127,7 @@ def closeby_haversine(
     n = len(rides)
     if m_candidates < 1 or n < 1:
         raise ValueError(f"need m_candidates >= 1 and n >= 1, got m_candidates={m_candidates}, n={n}")
-    return _search(rides, min(m_candidates, n - 1), (k, max_delay_s, nominal_speed_mps))
+    nearest = min(m_candidates, n - 1)
+    if nearest == n - 1:  # stage 1 would keep every other ride: HAVERSINE
+        return _search(rides, None, (min(k, nearest), max_delay_s, nominal_speed_mps))
+    return _search(rides, nearest, (k, max_delay_s, nominal_speed_mps))

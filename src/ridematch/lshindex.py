@@ -8,7 +8,8 @@ Hadamard transforms over a block of unit vectors) and hashing is one matrix
 product, a projection onto them. A projected coordinate with |y| < 1e-12
 counts as exactly 0, which hashes to the + side with margin 0. Per table,
 `hash_bits` function outputs are mixed into one 64-bit bucket key with seeded
-odd multipliers, which makes multi-probe a matter of O(1) key deltas.
+odd multipliers plus a per-table salt, which makes multi-probe a matter of
+O(1) key deltas.
 Retrieved candidates are re-scored by exact inner product, so only the
 candidate set is approximate, never the scores.
 """
@@ -181,13 +182,16 @@ class MatchSearchSummary:
 class LshIndex:
     """L amplified hash tables over stored data vectors, with exact re-scoring.
 
-    Immutable after construction. All tables share one flat store (sorted
-    unique bucket keys per table, each bucket's start and length in one array
-    of entry positions), so lookups are searchsorted probes rather than
-    per-bucket dicts, and one pass probes every table.
+    Immutable after construction. All tables share one flat store: every
+    table's bucket keys, each salted by its table, in one sorted array, and
+    each bucket's start and length in one array of entry positions. So one
+    searchsorted probes every table, rather than per-bucket dicts.
     """
 
     _QUERY_CHUNK = 1024
+    # (query, entry) marks per chunk (4 MB of bools): a chunk holds fewer
+    # than _QUERY_CHUNK queries when the index has more than 4096 entries.
+    _SEEN_BLOCK = 2**22
     # Projected values per hashing block (16 MB of float64). It bounds the
     # (rows x functions*cp_dim) product and the top-2 temporaries, and the
     # block of rotation rows built at construction.
@@ -236,32 +240,37 @@ class LshIndex:
             self.proj[:, cols] = _projection(signs[f0:f1], self.dim_in, self.cp_dim)
 
         codes, _, _ = self._hash_all(self.matrix, want_probes=False)
-        # Entry positions in (ride id, position) order, and each entry's rank
-        # in it: sorting candidates by rank puts a ride's routes side by side.
+        # Entry positions in (ride id, position) order, and their ride ids:
+        # an entry's rank is its index here, so that sorting candidates by
+        # rank puts a ride's routes side by side.
         n = len(self.ids)
         self._by_ride = np.argsort(self.ids, kind="stable")
-        self._ride_rank = np.empty(n, dtype=np.int64)
-        self._ride_rank[self._by_ride] = np.arange(n)
-        # One flat store for all tables. Table tbl's sorted unique bucket keys
-        # are _bucket_keys[_table_offsets[tbl]:_table_offsets[tbl + 1]]; bucket
-        # b holds _entries[_bucket_starts[b]:][:_bucket_lens[b]], and table
-        # tbl's entries fill _entries[tbl * n:(tbl + 1) * n].
-        keys, starts, lens = [], [], []
-        self._entries = np.empty(tables * n, dtype=np.int64)
-        for tbl in range(tables):
-            tkeys = self._mix(codes[:, tbl, :], tbl)
-            order = np.argsort(tkeys, kind="stable")
-            skeys = tkeys[order]
+        self._rank_ids = self.ids[self._by_ride]
+        # One sorted array of every table's buckets. A bucket key is the
+        # mixed codes plus its table's salt, so one searchsorted probes all
+        # tables; salts are redrawn until no two tables share a salted key,
+        # and a probe hits only a bucket of its own table (_bucket_table).
+        # Bucket b holds the entry ranks
+        # _entries[_bucket_starts[b]:][:_bucket_lens[b]].
+        mixed = (codes.astype(np.uint64) * self.mults).sum(axis=2, dtype=np.uint64).T
+        salt_rng = np.random.default_rng((seed, 0x53))
+        while True:
+            self._salts = _draw_salts(salt_rng, tables)
+            flat = (mixed + self._salts[:, None]).ravel()  # at tbl * n + entry
+            order = np.argsort(flat, kind="stable")
+            skeys = flat[order]
             first = _first_of_runs(skeys)
-            bounds = np.append(np.flatnonzero(first), n)
-            keys.append(skeys[first])
-            starts.append(bounds[:-1] + tbl * n)
-            lens.append(np.diff(bounds))
-            self._entries[tbl * n : (tbl + 1) * n] = order
-        self._bucket_keys = np.concatenate(keys)
-        self._bucket_starts = np.concatenate(starts)
-        self._bucket_lens = np.concatenate(lens)
-        self._table_offsets = np.append(0, np.cumsum([len(k) for k in keys]))
+            table_of = order // n
+            if not np.any(~first[1:] & (table_of[1:] != table_of[:-1])):
+                break
+        starts = np.flatnonzero(first)
+        self._bucket_keys = skeys[starts]
+        self._bucket_table = table_of[starts]
+        self._bucket_starts = starts
+        self._bucket_lens = np.diff(np.append(starts, tables * n))
+        ride_rank = np.empty(n, dtype=np.int64)
+        ride_rank[self._by_ride] = np.arange(n)
+        self._entries = ride_rank[order % n]
 
     def _fn_blocks(self, n_rows: int):
         """(first, end) function ranges of at most _HASH_BLOCK values over n_rows rows."""
@@ -290,9 +299,6 @@ class LshIndex:
             margins.reshape(shape) if want_probes else None,
         )
 
-    def _mix(self, codes_tbl, tbl: int):
-        return (codes_tbl.astype(np.uint64) * self.mults[tbl][None, :]).sum(axis=1, dtype=np.uint64)
-
     @staticmethod
     def _probe_keys(base, deltas, margins, probes: int):
         """(n, probes) probe keys plus validity mask, best-first by margin sum.
@@ -301,35 +307,32 @@ class LshIndex:
         for a subset of the functions, in ascending order of the subset's
         margin sum. Ties go to the smaller bitmask over the functions' ranks
         in a stable margin sort, so {0} < {1} < {0, 1} < {2}. The order is
-        exact: closed form covers probes <= 4, a per-row subset heap handles
-        larger counts.
+        exact: a closed form covers probes <= 4, a per-row subset heap
+        handles larger counts. Probes past the 2**t - 1 subsets are invalid,
+        with key 0.
         """
         n, t = margins.shape
         if probes <= 1:
             return base[:, None].copy(), np.ones((n, 1), dtype=bool)
         if probes <= 4:
-            ms = np.argsort(margins, axis=1, kind="stable")
-            rows = np.arange(n)
-            cand_sums = np.full((n, 4), np.inf)
-            cand_keys = np.zeros((n, 4), dtype=np.uint64)
-            d1 = deltas[rows, ms[:, 0]]
-            cand_sums[:, 0] = margins[rows, ms[:, 0]]
-            cand_keys[:, 0] = base + d1
-            if t >= 2:
-                d2 = deltas[rows, ms[:, 1]]
-                cand_sums[:, 1] = margins[rows, ms[:, 1]]
-                cand_keys[:, 1] = base + d2
-                cand_sums[:, 2] = cand_sums[:, 0] + cand_sums[:, 1]
-                cand_keys[:, 2] = base + d1 + d2
-            if t >= 3:
-                cand_sums[:, 3] = margins[rows, ms[:, 2]]
-                cand_keys[:, 3] = base + deltas[rows, ms[:, 2]]
-            sel = np.argsort(cand_sums, axis=1, kind="stable")[:, : probes - 1]
-            keys = np.concatenate([base[:, None], np.take_along_axis(cand_keys, sel, axis=1)], axis=1)
-            valid = np.concatenate(
-                [np.ones((n, 1), dtype=bool), np.isfinite(np.take_along_axis(cand_sums, sel, axis=1))],
-                axis=1,
-            )
+            # ranks 0-2 have margins m0 <= m1 <= m2, all >= 0, so the flips
+            # come in the order {0}, {1}, then {0, 1} if m0 + m1 <= m2 else {2}
+            ranked = np.argsort(margins, axis=1, kind="stable")[:, :3]
+            ranked += np.arange(0, n * t, t)[:, None]  # flat positions
+            d = deltas.take(ranked)
+            flips = base[:, None] + d  # {0}, {1}, {2}
+            if t == 2:
+                flips = np.append(flips, flips[:, :1] + d[:, 1:], axis=1)
+            elif t >= 3:
+                m = margins.take(ranked)
+                pair = np.add(m[:, 0], m[:, 1], dtype=np.float64) <= m[:, 2]
+                flips[pair, 2] = flips[pair, 0] + d[pair, 1]
+            got = min(probes - 1, flips.shape[1])
+            keys = np.zeros((n, probes), dtype=np.uint64)
+            keys[:, 0] = base
+            keys[:, 1 : got + 1] = flips[:, :got]
+            valid = np.zeros((n, probes), dtype=bool)
+            valid[:, : got + 1] = True
             return keys, valid
         keys = np.zeros((n, probes), dtype=np.uint64)
         valid = np.zeros((n, probes), dtype=bool)
@@ -367,8 +370,9 @@ class LshIndex:
         results: list[list[tuple[int, float]]] = []
         counts = np.empty(nq, dtype=np.int64)
         raws = np.empty(nq, dtype=np.int64)
-        for lo in range(0, nq, self._QUERY_CHUNK):
-            hi = min(lo + self._QUERY_CHUNK, nq)
+        step = max(1, min(self._QUERY_CHUNK, self._SEEN_BLOCK // len(self.ids)))
+        for lo in range(0, nq, step):
+            hi = min(lo + step, nq)
             excl = None if exclude_ids is None else np.asarray(exclude_ids, dtype=np.int64)[lo:hi]
             res, cnt, raw = self._query_chunk(qmat[lo:hi], k, probes_per_table, excl)
             results.extend(res)
@@ -377,12 +381,12 @@ class LshIndex:
         return results, counts, raws
 
     def _candidates(self, qmat, probes):
-        """Every (query row, entry position) retrieved, repeats included.
+        """Every (query row, entry rank) retrieved, repeats included.
 
-        All tables are probed in one pass: the probe keys of every (query,
-        table) row come from one _probe_keys call, and only the searchsorted
-        into each table's slice of the flat store runs per table.
-        Returns (query rows, entry positions, raw retrieved count per query).
+        The probe keys of every (query, table) row come from one _probe_keys
+        call, and one searchsorted into the salted bucket keys probes every
+        table. Returns (query rows, entry ranks, raw retrieved count per
+        query).
         """
         nq = qmat.shape[0]
         codes, alts, margins = self._hash_all(qmat, want_probes=True)
@@ -390,59 +394,92 @@ class LshIndex:
         deltas = alts.astype(np.uint64) * self.mults - v
         rows = nq * self.tables
         pkeys, pvalid = self._probe_keys(
-            v.sum(axis=2, dtype=np.uint64).reshape(rows),
+            (v.sum(axis=2, dtype=np.uint64) + self._salts).reshape(rows),
             deltas.reshape(rows, self.hash_bits),
             margins.reshape(rows, self.hash_bits),
             probes,
         )
         pkeys = pkeys.reshape(nq, self.tables, -1)
-        bucket = np.empty(pkeys.shape, dtype=np.int64)
-        offs = self._table_offsets
-        for tbl, (lo, hi) in enumerate(zip(offs[:-1].tolist(), offs[1:].tolist())):
-            bucket[:, tbl] = self._bucket_keys[lo:hi].searchsorted(pkeys[:, tbl])
-        # a key past the end of its table's slice is a miss: clamp to the
-        # table's last bucket, whose key then differs
-        bucket = np.minimum(bucket, (offs[1:] - offs[:-1] - 1)[:, None]) + offs[:-1, None]
-        hit = (self._bucket_keys[bucket] == pkeys) & pvalid.reshape(pkeys.shape)
-        hit_q = np.nonzero(hit)[0]
-        bucket = bucket[hit]
+        bucket, hit = self._find_buckets(pkeys)
+        hit &= pvalid.reshape(pkeys.shape)
+        hits = hit.ravel().nonzero()[0]
+        hit_q = hits // pkeys[0].size  # (table, probe) cells per query
+        bucket = bucket.take(hits)
         lens = self._bucket_lens[bucket]
+        ranks = self._entries[_concat_ranges(self._bucket_starts[bucket], lens)]
         q = np.repeat(hit_q, lens)
-        ends = np.cumsum(lens)
-        slots = np.arange(len(q)) + np.repeat(self._bucket_starts[bucket] - (ends - lens), lens)
-        return q, self._entries[slots], np.bincount(q, minlength=nq)
+        return q, ranks, np.bincount(q, minlength=nq)
+
+    def _find_buckets(self, pkeys):
+        """Per salted probe key, shape (..., tables, probes): its bucket and
+        whether it hits, i.e. is a bucket of the probe's own table. A key past
+        the last bucket is a miss, and so is a bucket of another table."""
+        bucket = np.minimum(self._bucket_keys.searchsorted(pkeys), len(self._bucket_keys) - 1)
+        hit = self._bucket_keys[bucket] == pkeys
+        hit &= self._bucket_table[bucket] == np.arange(self.tables)[:, None]
+        return bucket, hit
 
     def _query_chunk(self, qmat, k, probes, exclude_ids):
-        nq = qmat.shape[0]
-        qidx, pos, raw_counts = self._candidates(qmat, probes)
+        nq, n = qmat.shape[0], len(self.ids)
+        qidx, rank, raw_counts = self._candidates(qmat, probes)
+        # distinct (query, entry) pairs, sorted by (query, ride id, entry): the
+        # marked cells of a (query, entry rank) table; arrays are freed as
+        # soon as they are read, since they hold every retrieved pair
+        qidx *= n
+        qidx += rank
+        del rank
+        seen = np.zeros(nq * n, dtype=bool)
+        seen[qidx] = True
+        del qidx
         if exclude_ids is not None:
-            keep = self.ids[pos] != exclude_ids[qidx]
-            pos = pos[keep]
-            qidx = qidx[keep]
-        # distinct (query, entry) pairs, sorted by (query, ride id, entry)
-        n = len(self.ids)
-        pair = np.sort(qidx * n + self._ride_rank[pos])
-        pair = pair[_first_of_runs(pair)]
-        qidx, rank = np.divmod(pair, n)
+            # unmark each query's excluded ride, whose entries hold adjacent ranks
+            lo = self._rank_ids.searchsorted(exclude_ids, "left")
+            hi = self._rank_ids.searchsorted(exclude_ids, "right")
+            seen[_concat_ranges(np.arange(0, nq * n, n) + lo, hi - lo)] = False
+        qidx, rank = np.divmod(seen.nonzero()[0], n)
+        del seen
+        bounds = np.searchsorted(qidx, np.arange(nq + 1))
         pos = self._by_ride[rank]
-        rids = self.ids[pos]
-        bounds = np.searchsorted(qidx, np.arange(nq + 1)).tolist()
-        # per query, against its own row (only data rows are gathered, one
-        # query's candidates at a time): each ride's best route, the rides at
-        # or above the k-th score, then descending score, where the stable
-        # sort keeps the ride id order on ties
+        # scores against each query's own row (only data rows are gathered,
+        # one query's candidates at a time)
+        scores = np.empty(len(pos))
+        for row, s, e in zip(qmat, bounds[:-1].tolist(), bounds[1:].tolist()):
+            np.einsum("ij,j->i", self.matrix.take(pos[s:e], axis=0), row, out=scores[s:e])
+        del pos
+        # each (query, ride)'s best route, over the whole chunk at once
+        rids = self._rank_ids[rank]
+        del rank
+        first = _first_of_runs(rids)
+        first[1:] |= qidx[1:] != qidx[:-1]
+        del qidx
+        starts = first.nonzero()[0]
+        best, top = np.maximum.reduceat(scores, starts), rids[starts]
+        del scores, rids, first
+        # per query: the rides at or above the k-th score, then descending
+        # score, where the stable sort keeps the ride id order on ties
         results = []
-        for row, s, e in zip(qmat, bounds[:-1], bounds[1:]):
-            scores = np.einsum("ij,j->i", self.matrix[pos[s:e]], row)
-            seg = rids[s:e]
-            starts = np.flatnonzero(_first_of_runs(seg))
-            scores, top = np.maximum.reduceat(scores, starts), seg[starts]
-            if len(scores) > k:
-                keep = scores >= np.partition(scores, -k)[-k]
-                scores, top = scores[keep], top[keep]
-            order = np.argsort(-scores, kind="stable")[:k]
-            results.append(list(zip(top[order].tolist(), scores[order].tolist())))
-        return results, np.diff(bounds), raw_counts
+        ride_bounds = np.searchsorted(starts, bounds).tolist()
+        for s, e in zip(ride_bounds[:-1], ride_bounds[1:]):
+            sc, ids = best[s:e], top[s:e]
+            if e - s > k:
+                keep = sc >= np.partition(sc, -k)[-k]
+                sc, ids = sc[keep], ids[keep]
+            order = np.argsort(-sc, kind="stable")[:k]
+            results.append(list(zip(ids[order].tolist(), sc[order].tolist())))
+        return results, bounds[1:] - bounds[:-1], raw_counts
+
+
+def _draw_salts(rng, tables: int) -> np.ndarray:
+    """One uniform 64-bit bucket key salt per table."""
+    return rng.integers(0, 2**64, size=tables, dtype=np.uint64)
+
+
+def _concat_ranges(starts, lens):
+    """The ranges [start, start + len) end to end, as one int64 array."""
+    ends = np.cumsum(lens)
+    out = np.repeat(starts - (ends - lens), lens)
+    out += np.arange(len(out))
+    return out
 
 
 def _first_of_runs(keys):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geo import CellId, GeoPoint, TimeBucket, geohash_encode, time_bucket
+from .geo import CellId, GeoPoint, TimeBucket, geohash_encode
 from .roadnet import Route
 
 
@@ -38,9 +38,14 @@ SpaceTimeEdgeSet = dict[SpaceTimeEdge, float]
 SparseVector = dict
 
 
-@lru_cache(maxsize=1 << 17)
-def _cell_of(point: GeoPoint, precision: int) -> str:
-    return geohash_encode(point, precision)
+# Bound of the geohash cell cache, keyed by (lat, lon, precision): a float
+# tuple hashes in C, where a GeoPoint key would run its dataclass __hash__.
+_CELL_CACHE_SIZE = 1 << 17
+
+
+@lru_cache(maxsize=_CELL_CACHE_SIZE)
+def _cell_of(lat: float, lon: float, precision: int) -> str:
+    return geohash_encode(GeoPoint(lat, lon), precision)
 
 
 def st_edge_set(
@@ -56,27 +61,31 @@ def st_edge_set(
     becomes a directed edge costing the segment durations traversed between
     the two nodes, and revisited edges accumulate cost.
     """
-    if not route.points:
+    points = route.points
+    if not points:
         raise ValueError("route must contain at least one point")
-    arrivals = [request_time]
-    for d in route.segment_durations:
-        arrivals.append(arrivals[-1] + d)
-    nodes = [
-        (_cell_of(p, space_precision), time_bucket(t, time_interval_s))
-        for p, t in zip(route.points, arrivals)
-    ]
-    edges: SpaceTimeEdgeSet = {}
-    current = nodes[0]
+    if time_interval_s <= 0:
+        raise ValueError(f"interval must be positive, got {time_interval_s}")
+    # one pass: arrival times are the running sum from request_time, and a
+    # point's bucket is time_bucket's floor(t / interval)
+    floor = math.floor
+    p = points[0]
+    cell = _cell_of(p.lat, p.lon, space_precision)
+    bucket = floor(request_time / time_interval_s)
+    t = request_time
     accum = 0.0
-    for i in range(1, len(nodes)):
-        accum += route.segment_durations[i - 1]
-        if nodes[i] == current:
+    edges: SpaceTimeEdgeSet = {}
+    for p, d in zip(points[1:], route.segment_durations):
+        t += d
+        accum += d
+        to_cell = _cell_of(p.lat, p.lon, space_precision)
+        to_bucket = floor(t / time_interval_s)
+        if to_cell == cell and to_bucket == bucket:
             continue
         if accum > 0.0:
-            edge = SpaceTimeEdge(current[0], current[1], nodes[i][0], nodes[i][1])
+            edge = SpaceTimeEdge(cell, bucket, to_cell, to_bucket)
             edges[edge] = edges.get(edge, 0.0) + accum
-        current = nodes[i]
-        accum = 0.0
+        cell, bucket, accum = to_cell, to_bucket, 0.0
     return edges
 
 
@@ -104,15 +113,28 @@ def _key_bytes(key) -> bytes:
     return repr(key).encode()
 
 
+# Bound of the process-wide (index, sign) slot cache. It is keyed by the
+# exact bytes a key hashes, so keys that compare equal but hash different
+# bytes (a SpaceTimeEdge and the plain tuple of its fields, True and 1)
+# never share a slot.
+_SLOT_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_SLOT_CACHE_SIZE)
+def _slot(data: bytes, d: int, skey: bytes) -> tuple[int, float]:
+    h = int.from_bytes(blake2b(data, digest_size=8, key=skey).digest(), "big")
+    return (h >> 1) % d, 1.0 - 2.0 * (h & 1)
+
+
 def feature_hash(v: SparseVector, d: int, seed: int = 0, memo: dict | None = None) -> np.ndarray:
     """Signed feature hashing into d dimensions (d a power of two).
 
     Each key is mapped by a seeded hash to an (index, sign) pair and
     magnitudes accumulate, so inner products are unbiased over seeds.
     memo, a dict from key to (index, sign), lets calls with the same d and
-    seed hash each key once. Its keys must not mix types whose values compare
-    equal: a SpaceTimeEdge equals the plain tuple of its fields, but the two
-    hash by their different reprs.
+    seed skip each key's repr after its first. Its keys must not mix types
+    whose values compare equal: a SpaceTimeEdge equals the plain tuple of its
+    fields, but the two hash by their different reprs.
     """
     if d < 2 or d & (d - 1):
         raise ValueError(f"d must be a power of two >= 2, got {d}")
@@ -122,8 +144,7 @@ def feature_hash(v: SparseVector, d: int, seed: int = 0, memo: dict | None = Non
     for key, mag in v.items():
         slot = slots.get(key)
         if slot is None:
-            h = int.from_bytes(blake2b(_key_bytes(key), digest_size=8, key=skey).digest(), "big")
-            slot = slots[key] = ((h >> 1) % d, 1.0 - 2.0 * (h & 1))
+            slot = slots[key] = _slot(_key_bytes(key), d, skey)
         out[slot[0]] += slot[1] * mag
     return out
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _top_k
+from .baselines import _id_rank, _top_k
 from .roadnet import RoadNetwork, RoutingLedger
 from .trips import Ride
 
@@ -175,13 +175,14 @@ def brute_force_topk_all(
     arrays = _ride_arrays(net, rides)
     ids = np.fromiter((r.id for r in rides), dtype=np.int64, count=n)
     k = min(k, n - 1)
+    id_rank = _id_rank(ids)
     everyone = np.arange(n)[None, :]
     step = max(1, _BLOCK // max(1, n))
     out: dict[int, list[tuple[int, float]]] = {}
     for lo in range(0, n, step):
         rows = np.arange(lo, min(lo + step, n))
         utility = _evaluate(arrays, rows[:, None], everyone, max_delay_s)[3]
-        cand = _top_k(-utility, everyone, rows, ids, k)
+        cand = _top_k(-utility, everyone, rows, id_rank, k)
         top = np.take_along_axis(utility, cand, axis=-1)
         out.update(
             (rid, list(zip(cand_ids, values)))

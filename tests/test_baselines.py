@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridematch import baselines
 from ridematch.baselines import closeby, closeby_haversine, haversine_topk
@@ -121,6 +123,24 @@ class TestClosebyHaversine:
             )
             assert out[q.id] == [rid for _, rid in scored[:5]]
 
+    def test_full_budget_skips_stage1_and_equals_haversine_topk(self, city21, monkeypatch):
+        # a 60 s delay bound zeroes most utilities, so ride ids break most
+        # ties; ids are in no relation to positions
+        base = synth_commute(city21, 90, seed=37).rides
+        ids = np.random.default_rng(8).permutation(len(base)) * 5 + 2
+        rides = [dataclasses.replace(r, id=int(i)) for r, i in zip(base, ids)]
+        zero = sum(hav_utility_reference(a, b, 60.0) == 0.0 for a in rides for b in rides if a is not b)
+        assert zero > 0.9 * len(rides) * (len(rides) - 1)
+        want = haversine_topk(rides, 10, max_delay_s=60.0)
+        assert want[rides[0].id] == utility_reference_at(rides[0], rides[1:], 10, 60.0)
+        calls = []
+        top_k = baselines._top_k
+        monkeypatch.setattr(baselines, "_top_k", lambda keys, *rest: calls.append(len(keys)) or top_k(keys, *rest))
+        for m in (len(rides) - 1, len(rides) + 40):
+            calls.clear()
+            assert closeby_haversine(rides, 10, m_candidates=m, max_delay_s=60.0) == want
+            assert calls == [len(rides)]  # one ranking per block: stage 2 only
+
     def test_m_smaller_than_k_rejected(self, city21):
         w = synth_commute(city21, 20, seed=30)
         with pytest.raises(ValueError):
@@ -160,7 +180,66 @@ def closeby_reference(rides, q, k):
 
 
 def utility_reference(q, cands, k):
-    return [rid for _, rid in sorted((-hav_utility_reference(q, r), r.id) for r in cands)[:k]]
+    return utility_reference_at(q, cands, k, 600.0)
+
+
+def utility_reference_at(q, cands, k, max_delay_s):
+    return [rid for _, rid in sorted((-hav_utility_reference(q, r, max_delay_s), r.id) for r in cands)[:k]]
+
+
+def _lexsort_top_k(keys, cand, rows, ids, k):
+    """_top_k as one full lexsort of every row by (key, ride id)."""
+    cand = np.broadcast_to(cand, keys.shape)
+    keys = keys.copy()
+    keys[cand == rows[:, None]] = np.inf
+    order = np.lexsort((ids[cand], keys), axis=-1)[:, :k]
+    return np.take_along_axis(cand, order, axis=-1)
+
+
+@st.composite
+def _ranking_blocks(draw):
+    """(keys, cand, rows, ids, k): keys from a few values, so that hundreds
+    may tie at the k-th one; cand is either every position (the ride itself
+    among them) or per row distinct positions other than the ride."""
+    n = draw(st.integers(2, 400))
+    ids = np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True)))
+    rows = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))))
+    values = draw(st.lists(st.sampled_from([0.0, -1.5, 1.0, 2.0, 7.25]), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        cand = np.arange(n)[None, :]
+        width, others = n, n - 1
+    else:
+        width = others = draw(st.integers(1, n - 1))
+        seed = draw(st.integers(0, 2**32))
+        rng = np.random.default_rng(seed)
+        cand = np.stack([rng.permutation(np.delete(np.arange(n), r))[:width] for r in rows])
+    keys = np.array(draw(st.lists(st.sampled_from(values), min_size=len(rows) * width,
+                                  max_size=len(rows) * width))).reshape(len(rows), width)
+    return keys, cand, rows, ids, draw(st.integers(0, others))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=_ranking_blocks())
+def test_top_k_matches_full_lexsort(block):
+    keys, cand, rows, ids, k = block
+    id_rank = baselines._id_rank(ids)
+    want = _lexsort_top_k(keys, cand, rows, ids, k)
+    got = baselines._top_k(keys.copy(), cand, rows, id_rank, k)
+    assert np.array_equal(got, want)
+
+
+def test_top_k_hundreds_tied_at_the_kth_key():
+    # 500 candidates all tie at 0 except three below it; the seven lowest
+    # ids among the tied fill the top 10
+    n = 501
+    ids = np.random.default_rng(9).permutation(n) * 3 - 700
+    keys = np.zeros((1, n))
+    keys[0, [5, 250, 499]] = -1.0
+    id_rank = baselines._id_rank(ids)
+    rows = np.array([17])
+    got = baselines._top_k(keys.copy(), np.arange(n)[None, :], rows, id_rank, 10)
+    tied = sorted((i for i in range(n) if i not in (5, 250, 499, 17)), key=lambda i: ids[i])
+    assert got[0].tolist() == sorted([5, 250, 499], key=lambda i: ids[i]) + tied[:7]
 
 
 class TestBlocks:

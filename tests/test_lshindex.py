@@ -27,24 +27,24 @@ def _unit_rows(rng, n, d):
 
 
 def _reference_candidates(idx, qmat, probes):
-    """Retrieval as a dict from bucket key to entries per table, keys mixed
-    with Python integers, probe keys from one _probe_keys call per table.
+    """Retrieval as one dict from (table, salted bucket key) to entries, keys
+    mixed with Python integers, probe keys from one _probe_keys call per table.
 
     Returns (query rows, entry positions, raw retrieved count per query).
     """
     nq = qmat.shape[0]
     codes, _, _ = idx._hash_all(idx.matrix, want_probes=False)
     qcodes, qalts, qmargins = idx._hash_all(qmat, want_probes=True)
+    buckets: dict[tuple[int, int], list[int]] = {}
     qidx, pos, raw = [], [], np.zeros(nq, dtype=np.int64)
     for tbl in range(idx.tables):
-        mults = [int(m) for m in idx.mults[tbl]]
+        mults, salt = [int(m) for m in idx.mults[tbl]], int(idx._salts[tbl])
 
         def mix(row):
-            return sum(int(c) * m for c, m in zip(row, mults)) % 2**64
+            return (sum(int(c) * m for c, m in zip(row, mults)) + salt) % 2**64
 
-        buckets: dict[int, list[int]] = {}
         for p in range(len(idx.ids)):
-            buckets.setdefault(mix(codes[p, tbl]), []).append(p)
+            buckets.setdefault((tbl, mix(codes[p, tbl])), []).append(p)
         base = np.array([mix(qcodes[q, tbl]) for q in range(nq)], dtype=np.uint64)
         deltas = np.array([[(int(a) - int(c)) * m % 2**64
                             for a, c, m in zip(qalts[q, tbl], qcodes[q, tbl], mults)] for q in range(nq)],
@@ -52,7 +52,7 @@ def _reference_candidates(idx, qmat, probes):
         keys, valid = LshIndex._probe_keys(base, deltas, qmargins[:, tbl, :], probes)
         for q in range(nq):
             for key in keys[q][valid[q]].tolist():
-                hits = buckets.get(key, [])
+                hits = buckets.get((tbl, key), [])
                 raw[q] += len(hits)
                 qidx += [q] * len(hits)
                 pos += hits
@@ -264,12 +264,13 @@ class TestSuggestParams:
 
 
 def _table_stores(idx):
-    """Per table of the flat store: (sorted unique bucket keys, bucket lengths,
-    entry positions)."""
-    n, offs = len(idx.ids), idx._table_offsets
+    """Per table of the salted store: (its salted bucket keys in store order,
+    bucket lengths, entry positions bucket by bucket, from the stored ranks)."""
     for tbl in range(idx.tables):
-        b = slice(offs[tbl], offs[tbl + 1])
-        yield idx._bucket_keys[b], idx._bucket_lens[b], idx._entries[tbl * n : (tbl + 1) * n]
+        b = np.flatnonzero(idx._bucket_table == tbl)
+        starts, lens = idx._bucket_starts[b], idx._bucket_lens[b]
+        ranks = np.concatenate([idx._entries[s : s + m] for s, m in zip(starts, lens)])
+        yield idx._bucket_keys[b], lens, idx._by_ride[ranks]
 
 
 class TestBuildIndex:
@@ -291,12 +292,59 @@ class TestBuildIndex:
     def test_buckets_tile_each_table(self, rng):
         n = 30
         idx = LshIndex(np.arange(n), _unit_rows(rng, n, 10), tables=4, hash_bits=2, seed=3)
+        # the salted keys of all tables are unique, and the buckets tile _entries
+        assert np.all(idx._bucket_keys[1:] > idx._bucket_keys[:-1])
+        lens = idx._bucket_lens
+        assert np.array_equal(idx._bucket_starts, np.cumsum(lens) - lens)
+        assert lens.sum() == idx.tables * n
+        codes, _, _ = idx._hash_all(idx.matrix, want_probes=False)
         for tbl, (keys, lens, entries) in enumerate(_table_stores(idx)):
-            assert np.all(keys[1:] > keys[:-1])
-            b = slice(idx._table_offsets[tbl], idx._table_offsets[tbl + 1])
-            assert np.array_equal(idx._bucket_starts[b], tbl * n + np.cumsum(lens) - lens)
             assert lens.sum() == n
             assert sorted(entries.tolist()) == list(range(n))
+            # every entry sits in the bucket of its own salted key, in position order
+            mults, salt = [int(m) for m in idx.mults[tbl]], int(idx._salts[tbl])
+            for key, chunk in zip(keys.tolist(), np.split(entries, np.cumsum(lens)[:-1])):
+                assert np.all(np.diff(chunk) > 0)
+                for p in chunk.tolist():
+                    assert (sum(int(c) * m for c, m in zip(codes[p, tbl], mults)) + salt) % 2**64 == key
+
+    def test_salted_store_finds_every_table_key(self, rng):
+        n = 40
+        idx = LshIndex(np.arange(n), _unit_rows(rng, n, 10), tables=5, hash_bits=2, seed=7)
+        keys, tables = idx._bucket_keys, idx._bucket_table
+        # probe every table with every stored key: a key hits only in its own
+        # table, where it finds its bucket; a key of another table never hits
+        probe = np.broadcast_to(keys, (1, idx.tables, len(keys)))
+        bucket, hit = idx._find_buckets(probe)
+        assert np.array_equal(hit[0], tables[None, :] == np.arange(idx.tables)[:, None])
+        assert np.all(bucket[0][hit[0]] == np.tile(np.arange(len(keys)), idx.tables)[hit[0].ravel()])
+        # keys held by no table miss, past either end of the store too
+        absent = np.setdiff1d(np.concatenate([keys - np.uint64(1), keys + np.uint64(1)]), keys)
+        absent = np.append(absent, [np.uint64(0), np.uint64(2**64 - 1)])
+        absent = np.setdiff1d(absent, keys)
+        _, hit = idx._find_buckets(np.broadcast_to(absent, (1, idx.tables, len(absent))))
+        assert not hit.any()
+
+    def test_salts_redrawn_until_tables_keys_are_unique(self, rng, monkeypatch):
+        import ridematch.lshindex as lshmod
+
+        v = _unit_rows(rng, 1, 10)
+        plain = LshIndex([0], v, tables=2, hash_bits=3, seed=4)
+        codes, _, _ = plain._hash_all(v, want_probes=False)
+        raw = (codes[0].astype(np.uint64) * plain.mults).sum(axis=1, dtype=np.uint64)
+        real, draws = lshmod._draw_salts, []
+
+        def colliding_first(rng_, tables):
+            draws.append(tables)
+            if len(draws) == 1:  # table 1's salted key equals table 0's
+                return np.array([0, (int(raw[0]) - int(raw[1])) % 2**64], dtype=np.uint64)
+            return real(rng_, tables)
+
+        monkeypatch.setattr(lshmod, "_draw_salts", colliding_first)
+        idx = LshIndex([0], v, tables=2, hash_bits=3, seed=4)
+        assert len(draws) == 2
+        assert len(set(idx._bucket_keys.tolist())) == 2
+        assert idx.query_batch(v, 1, 1)[0] == [[(0, pytest.approx(1.0))]]
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -413,6 +461,28 @@ class TestProbeOrder:
     )
     def test_matches_brute_force(self, t, n, probes, data):
         margin = st.sampled_from([0.0, 0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 2.0, width=32)
+        u64 = st.integers(0, 2**64 - 1)
+        margins = np.array(data.draw(st.lists(st.lists(margin, min_size=t, max_size=t), min_size=n,
+                                              max_size=n)), dtype=np.float32)
+        deltas = np.array(data.draw(st.lists(st.lists(u64, min_size=t, max_size=t), min_size=n,
+                                             max_size=n)), dtype=np.uint64)
+        base = np.array(data.draw(st.lists(u64, min_size=n, max_size=n)), dtype=np.uint64)
+        keys, valid = LshIndex._probe_keys(base, deltas, margins, probes)
+        want_keys, want_valid = _brute_force_probe_keys(base, deltas, margins, probes)
+        assert np.array_equal(valid, want_valid)
+        assert np.array_equal(keys, want_keys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.integers(1, 8),
+        n=st.integers(1, 20),
+        probes=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_closed_form_matches_brute_force(self, t, n, probes, data):
+        # margins from a few dyadic values, so that ties among margins and
+        # between a pair's sum and a single margin (0.25 + 0.5 == 0.75) are exact
+        margin = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
         u64 = st.integers(0, 2**64 - 1)
         margins = np.array(data.draw(st.lists(st.lists(margin, min_size=t, max_size=t), min_size=n,
                                               max_size=n)), dtype=np.float32)

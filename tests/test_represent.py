@@ -1,9 +1,13 @@
 import math
+from hashlib import blake2b
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ridematch.geo import GeoPoint
+from ridematch import represent
+from ridematch.geo import GeoPoint, geohash_encode, time_bucket
 from ridematch.represent import (
     DegenerateInputError,
     SpaceTimeEdge,
@@ -22,6 +26,64 @@ from ridematch.roadnet import Route
 
 def _route(points, durations):
     return Route(points=points, segment_durations=durations, total_duration=math.fsum(durations))
+
+
+def _reference_st_edge_set(route, request_time, space_precision, time_interval_s):
+    """st_edge_set as a list of arrivals, a list of (cell, bucket) nodes and a
+    collapsing loop over them."""
+    arrivals = [request_time]
+    for d in route.segment_durations:
+        arrivals.append(arrivals[-1] + d)
+    nodes = [
+        (geohash_encode(p, space_precision), time_bucket(t, time_interval_s))
+        for p, t in zip(route.points, arrivals)
+    ]
+    edges = {}
+    current = nodes[0]
+    accum = 0.0
+    for i in range(1, len(nodes)):
+        accum += route.segment_durations[i - 1]
+        if nodes[i] == current:
+            continue
+        if accum > 0.0:
+            edge = SpaceTimeEdge(current[0], current[1], nodes[i][0], nodes[i][1])
+            edges[edge] = edges.get(edge, 0.0) + accum
+        current = nodes[i]
+        accum = 0.0
+    return edges
+
+
+def _reference_feature_hash(v, d, seed):
+    """feature_hash as one blake2b per key, accumulated into zeros."""
+    out = np.zeros(d)
+    skey = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    for key, mag in v.items():
+        data = key if isinstance(key, bytes) else key.encode() if isinstance(key, str) else repr(key).encode()
+        h = int.from_bytes(blake2b(data, digest_size=8, key=skey).digest(), "big")
+        out[(h >> 1) % d] += (1.0 - 2.0 * (h & 1)) * mag
+    return out
+
+
+# Four points two geohash-7 cells apart, one a few metres from its neighbour
+# (same cell), so routes revisit cells and collapse runs.
+_PLACES = [
+    GeoPoint(40.74, -73.99),
+    GeoPoint(40.75, -73.99),
+    GeoPoint(40.75003, -73.99003),
+    GeoPoint(40.76, -73.98),
+]
+
+
+@st.composite
+def _routes(draw):
+    n = draw(st.integers(1, 12))
+    points = [_PLACES[i] for i in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    # zero-duration segments, durations that land exactly on bucket boundaries
+    duration = st.sampled_from([0.0, 0.0, 1.5, 100.0, 600.0, 1199.5, 1200.0]) | st.floats(0.0, 3000.0)
+    durations = draw(st.lists(duration, min_size=n - 1, max_size=n - 1))
+    request = draw(st.sampled_from([0.0, 1199.0, 1200.0, -600.0]) | st.floats(-1e6, 1e9))
+    interval = draw(st.sampled_from([1200.0, 600.0, 7.0]))
+    return _route(points, durations), request, interval
 
 
 class TestStEdgeSet:
@@ -68,6 +130,26 @@ class TestStEdgeSet:
     def test_empty_route_rejected(self):
         with pytest.raises(ValueError):
             st_edge_set(Route(points=[], segment_durations=[], total_duration=0.0), 0.0, 7, 1200.0)
+
+    def test_bad_interval_rejected(self):
+        route = _route([_PLACES[0]], [])
+        for interval in (0.0, -5.0):
+            with pytest.raises(ValueError, match="interval must be positive"):
+                st_edge_set(route, 0.0, 7, interval)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_routes(), precision=st.sampled_from([5, 7]))
+    def test_matches_reference_loop(self, case, precision):
+        route, request, interval = case
+        got = st_edge_set(route, request, precision, interval)
+        want = _reference_st_edge_set(route, request, precision, interval)
+        assert list(got.items()) == list(want.items())  # keys, costs and their order
+        for edge in got:
+            assert type(edge) is SpaceTimeEdge
+            assert [type(f) for f in edge] == [str, int, str, int]
+
+    def test_cell_cache_bound(self):
+        assert represent._cell_of.cache_info().maxsize == represent._CELL_CACHE_SIZE == 1 << 17
 
 
 class TestSparseVectors:
@@ -150,6 +232,36 @@ class TestFeatureHash:
         for v in rows:
             assert feature_hash(v, 16, 9, memo).tobytes() == feature_hash(v, 16, 9).tobytes()
         assert set(memo) == set().union(*rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(st.text(max_size=3) | st.integers(-5, 5), max_size=30),
+        mags=st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300]) | st.floats(-1e3, 1e3), max_size=30),
+        d=st.sampled_from([2, 4, 64]),
+        seed=st.integers(0, 2**70),
+    )
+    def test_matches_reference(self, keys, mags, d, seed):
+        # small d: many keys share a slot, so the summation order shows
+        v = dict(zip(keys, mags))
+        want = _reference_feature_hash(v, d, seed).tobytes()
+        assert feature_hash(v, d, seed).tobytes() == want
+        assert feature_hash(v, d, seed, {}).tobytes() == want
+
+    @pytest.mark.parametrize(
+        "a, b", [(SpaceTimeEdge("c0", 1, "c1", 2), ("c0", 1, "c1", 2)), (True, 1), (("x", False), ("x", 0))]
+    )
+    def test_equal_keys_of_other_bytes_get_their_own_slot(self, a, b):
+        assert a == b and repr(a) != repr(b)
+        assert not np.array_equal(_reference_feature_hash({a: 2.0}, 1024, 11), _reference_feature_hash({b: 2.0}, 1024, 11))
+        for first, second in ((a, b), (b, a)):
+            represent._slot.cache_clear()
+            for key in (first, second, first, second):  # cold, then warm
+                for d, seed in ((8, 3), (1024, 11)):
+                    want = _reference_feature_hash({key: 2.0}, d, seed)
+                    assert feature_hash({key: 2.0}, d, seed).tobytes() == want.tobytes()
+
+    def test_slot_cache_bound(self):
+        assert represent._slot.cache_info().maxsize == represent._SLOT_CACHE_SIZE == 1 << 16
 
     def test_non_power_of_two_rejected(self):
         for d in (0, 1, 3, 48):
