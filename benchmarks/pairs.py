@@ -1,14 +1,15 @@
 """Run alternating parent/change pairs of the benchmark and summarize them.
 
     python3 benchmarks/pairs.py --parent HEAD~1 --change HEAD \
-        --seeds 501-510 --seconds 40 --out BENCH_<n>.json
+        --seeds 501-510 --out BENCH_<n>.json
 
 Each commit is `git archive`d into its own temporary directory, so both
 sides run the committed files only. A pair runs `perfbench/run.py --trace 0`
 once in each checkout with the same workload and seed, one after the other;
 which side goes first alternates from pair to pair, so a drift in machine
-speed does not favour one side. Each metric's direction comes from the
-`better` field of the change's BENCHMARK.json. The output holds every run's
+speed does not favour one side. The change's BENCHMARK.json sets the rest:
+every workload it lists is run, each run lasts its `run_seconds`, and each
+metric's direction is its `better` field. The output holds every run's
 JSON line and, per workload and metric, each side's median and quartiles, the
 pairs the change won and tied, and the median of the per-pair change/parent
 ratios.
@@ -54,10 +55,10 @@ def archive(commit: str, repo: Path, dest: Path) -> None:
         raise SystemExit(f"error: git archive {commit} failed")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `perfbench/run.py --trace 0` run: its JSON line, or an error record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
+           "--seconds", f"{seconds:g}", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -129,9 +130,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD~1", help="commit of the parent side (default HEAD~1)")
     parser.add_argument("--change", default="HEAD", help="commit of the change side (default HEAD)")
     parser.add_argument("--seeds", required=True, type=parse_seeds, help='one pair per seed: "501-510" or "1,5,9"')
-    parser.add_argument("--workloads", nargs="+", default=None, help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, default=40.0)
-    parser.add_argument("--smoke", action="store_true", help="pass --smoke to every run (a quick check of this tool)")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
@@ -142,7 +140,8 @@ def main(argv=None) -> int:
         for side in SIDES:
             archive(commits[side], repo, checkouts[side])
         bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-        workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+        workloads = [w["name"] for w in bench["workloads"]]
+        seconds = bench["run_seconds"]
         runs = {w: {side: {} for side in SIDES} for w in workloads}
         order = {}
         for workload in workloads:
@@ -150,13 +149,12 @@ def main(argv=None) -> int:
                 sides = SIDES if i % 2 == 0 else SIDES[::-1]
                 order[f"{workload}/{seed}"] = list(sides)
                 for side in sides:
-                    result = run_once(checkouts[side], workload, seed, args.seconds, args.smoke)
+                    result = run_once(checkouts[side], workload, seed, seconds)
                     runs[workload][side][str(seed)] = result
                     print(f"{workload} seed {seed} {side}: correct={result.get('correct')}", file=sys.stderr)
 
     report = {
-        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {args.seconds:g} "
-                   "--trace 0" + (" --smoke" if args.smoke else ""),
+        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
         "runner": "benchmarks/pairs.py",
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],

@@ -189,9 +189,6 @@ class LshIndex:
     """
 
     _QUERY_CHUNK = 1024
-    # (query, entry) marks per chunk (4 MB of bools): a chunk holds fewer
-    # than _QUERY_CHUNK queries when the index has more than 4096 entries.
-    _SEEN_BLOCK = 2**22
     # Projected values per hashing block (16 MB of float64). It bounds the
     # (rows x functions*cp_dim) product and the top-2 temporaries, and the
     # block of rotation rows built at construction.
@@ -370,9 +367,8 @@ class LshIndex:
         results: list[list[tuple[int, float]]] = []
         counts = np.empty(nq, dtype=np.int64)
         raws = np.empty(nq, dtype=np.int64)
-        step = max(1, min(self._QUERY_CHUNK, self._SEEN_BLOCK // len(self.ids)))
-        for lo in range(0, nq, step):
-            hi = min(lo + step, nq)
+        for lo in range(0, nq, self._QUERY_CHUNK):
+            hi = min(lo + self._QUERY_CHUNK, nq)
             excl = None if exclude_ids is None else np.asarray(exclude_ids, dtype=np.int64)[lo:hi]
             res, cnt, raw = self._query_chunk(qmat[lo:hi], k, probes_per_table, excl)
             results.extend(res)
@@ -422,24 +418,25 @@ class LshIndex:
     def _query_chunk(self, qmat, k, probes, exclude_ids):
         nq, n = qmat.shape[0], len(self.ids)
         qidx, rank, raw_counts = self._candidates(qmat, probes)
-        # distinct (query, entry) pairs, sorted by (query, ride id, entry): the
-        # marked cells of a (query, entry rank) table; arrays are freed as
-        # soon as they are read, since they hold every retrieved pair
+        # distinct (query, entry) pairs, sorted by (query, ride id, entry),
+        # less each query's excluded ride; arrays are freed as soon as they
+        # are read, since they hold every retrieved pair
         qidx *= n
         qidx += rank
         del rank
-        seen = np.zeros(nq * n, dtype=bool)
-        seen[qidx] = True
+        qidx.sort()
+        pair = qidx[_first_of_runs(qidx)]
         del qidx
+        qidx, rank = np.divmod(pair, n)
+        del pair
+        rids = self._rank_ids[rank]
         if exclude_ids is not None:
-            # unmark each query's excluded ride, whose entries hold adjacent ranks
-            lo = self._rank_ids.searchsorted(exclude_ids, "left")
-            hi = self._rank_ids.searchsorted(exclude_ids, "right")
-            seen[_concat_ranges(np.arange(0, nq * n, n) + lo, hi - lo)] = False
-        qidx, rank = np.divmod(seen.nonzero()[0], n)
-        del seen
+            keep = rids != exclude_ids[qidx]
+            qidx, rank, rids = qidx[keep], rank[keep], rids[keep]
+            del keep
         bounds = np.searchsorted(qidx, np.arange(nq + 1))
         pos = self._by_ride[rank]
+        del rank
         # scores against each query's own row (only data rows are gathered,
         # one query's candidates at a time)
         scores = np.empty(len(pos))
@@ -447,8 +444,6 @@ class LshIndex:
             np.einsum("ij,j->i", self.matrix.take(pos[s:e], axis=0), row, out=scores[s:e])
         del pos
         # each (query, ride)'s best route, over the whole chunk at once
-        rids = self._rank_ids[rank]
-        del rank
         first = _first_of_runs(rids)
         first[1:] |= qidx[1:] != qidx[:-1]
         del qidx
