@@ -14,6 +14,9 @@ from .trips import Ride
 
 DEFAULT_M_CANDIDATES = 1000
 DEFAULT_NOMINAL_SPEED_MPS = 8.0
+# The maximum pickup delay of a match, here and in the exact evaluator
+# (`utility`, which imports this module): 10 minutes
+DEFAULT_MAX_DELAY_S = 600.0
 
 # values per ranking block (see _search)
 _BLOCK = 2**18
@@ -104,7 +107,7 @@ def closeby(rides: list[Ride], k: int) -> dict[int, list[int]]:
 def haversine_topk(
     rides: list[Ride],
     k: int,
-    max_delay_s: float = 600.0,
+    max_delay_s: float = DEFAULT_MAX_DELAY_S,
     nominal_speed_mps: float = DEFAULT_NOMINAL_SPEED_MPS,
 ) -> dict[int, list[int]]:
     """Exhaustive top-k by haversine matching utility per ride."""
@@ -117,7 +120,7 @@ def closeby_haversine(
     rides: list[Ride],
     k: int,
     m_candidates: int = DEFAULT_M_CANDIDATES,
-    max_delay_s: float = 600.0,
+    max_delay_s: float = DEFAULT_MAX_DELAY_S,
     nominal_speed_mps: float = DEFAULT_NOMINAL_SPEED_MPS,
 ) -> dict[int, list[int]]:
     """Two-stage hybrid: m nearest pickups first, then top-k by haversine

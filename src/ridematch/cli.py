@@ -22,7 +22,8 @@ from types import SimpleNamespace
 
 from . import baselines
 from .lshindex import LshConfig, find_potential_matches
-from .network import build_network, max_weight_matching, optimal_utility
+from .network import DEFAULT_OPTIMAL_CAP, build_network, max_weight_matching, optimal_utility
+from .represent import DEFAULT_SPACE_PRECISION, DEFAULT_TIME_INTERVAL_S
 from .roadnet import RoadNetwork, RoutingLedger, build_city_network, build_grid_network
 from .trips import Workload, load_trips_csv, parse_taxi_datetime, subsample, synth_commute, write_trips_csv
 
@@ -96,14 +97,14 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
             lambda v: all(a in APPROACHES for a in v) and len(set(v)) == len(v),
             f"a list of distinct names from {', '.join(APPROACHES)}",
         )),
-        "k": _Key(int, 10, _at_least(1)),
-        "max_delay_s": _Key(_NUMBER, 600.0, _POSITIVE),
-        "space_precision": _Key(int, 7, ((lambda v: 1 <= v <= 12), "in [1, 12]")),
-        "time_interval_s": _Key(_NUMBER, 1200.0, _POSITIVE),
+        "k": _Key(int, LshConfig.k, _at_least(1)),
+        "max_delay_s": _Key(_NUMBER, baselines.DEFAULT_MAX_DELAY_S, _POSITIVE),
+        "space_precision": _Key(int, DEFAULT_SPACE_PRECISION, ((lambda v: 1 <= v <= 12), "in [1, 12]")),
+        "time_interval_s": _Key(_NUMBER, DEFAULT_TIME_INTERVAL_S, _POSITIVE),
         "lsh": _Key(dict, {}),
         "baseline": _Key(dict, {}),
         "alternates": _Key(int, 1, _at_least(1)),
-        "optimal_cap": _Key(int, 3000, _at_least(1)),
+        "optimal_cap": _Key(int, DEFAULT_OPTIMAL_CAP, _at_least(1)),
         "timing": _Key(str, "wall", ((lambda v: v in ("wall", "none")), "'wall' or 'none'")),
     },
     "network": {
@@ -137,7 +138,7 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
         "tables": _Key(int, LshConfig.tables, _at_least(1)),
         "hash_bits": _Key(int, LshConfig.hash_bits, _at_least(1)),
         "probes": _Key(int, LshConfig.probes, _at_least(1)),
-        "dim": _Key(int, 128, ((lambda v: v >= 2 and v & (v - 1) == 0), "a power of two >= 2")),
+        "dim": _Key(int, LshConfig.dim, ((lambda v: v >= 2 and v & (v - 1) == 0), "a power of two >= 2")),
         "cp_dim": _Key(int, LshConfig.cp_dim, _at_least(1)),
         "m": _Key(int, LshConfig.norm_terms, _at_least(1), arg="norm_terms"),
         "U": _Key(_NUMBER, LshConfig.max_norm, ((lambda v: 0 < v < 1), "in (0, 1)"), arg="max_norm"),

@@ -24,6 +24,10 @@ from hashlib import blake2b
 import numpy as np
 
 from .represent import (
+    DEFAULT_MAX_NORM,
+    DEFAULT_NORM_TERMS,
+    DEFAULT_SPACE_PRECISION,
+    DEFAULT_TIME_INTERVAL_S,
     DegenerateInputError,
     feature_hash,
     normalize_dataset,
@@ -157,10 +161,10 @@ class LshConfig:
     tables: int = 50
     hash_bits: int = 10
     probes: int = 4
-    dim: int = 64
+    dim: int = 128
     cp_dim: int = 1
-    norm_terms: int = 2
-    max_norm: float = 0.75
+    norm_terms: int = DEFAULT_NORM_TERMS
+    max_norm: float = DEFAULT_MAX_NORM
     seed: int = 0
     k: int = 10
 
@@ -168,7 +172,6 @@ class LshConfig:
 @dataclass
 class MatchSearchSummary:
     n_rides: int
-    n_indexed: int
     degenerate_ids: list[int]
     candidates_per_query: np.ndarray
     raw_retrieved_per_query: np.ndarray
@@ -182,10 +185,12 @@ class MatchSearchSummary:
 class LshIndex:
     """L amplified hash tables over stored data vectors, with exact re-scoring.
 
-    Immutable after construction. All tables share one flat store: every
-    table's bucket keys, each salted by its table, in one sorted array, and
-    each bucket's start and length in one array of entry positions. So one
-    searchsorted probes every table, rather than per-bucket dicts.
+    Immutable after construction. The rows are stored in (ride id, given
+    position) order, so sorting candidates by entry puts a ride's routes
+    side by side. All tables share one flat store: every table's bucket
+    keys, each salted by its table, in one sorted array, and each bucket's
+    start and length in one array of entries. So one searchsorted probes
+    every table, rather than per-bucket dicts.
     """
 
     _QUERY_CHUNK = 1024
@@ -213,8 +218,10 @@ class LshIndex:
             raise DegenerateInputError("cannot build an index over no vectors")
         if tables < 1 or hash_bits < 1:
             raise ValueError("tables and hash_bits must be >= 1")
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        ids = np.asarray(ids, dtype=np.int64)
+        by_ride = np.argsort(ids, kind="stable")
+        self.ids = ids[by_ride]
+        self.matrix = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64)[by_ride])
         if np.any(np.linalg.norm(self.matrix, axis=1) == 0.0):
             raise ValueError("cannot index zero vectors")
         self.tables = tables
@@ -237,18 +244,12 @@ class LshIndex:
             self.proj[:, cols] = _projection(signs[f0:f1], self.dim_in, self.cp_dim)
 
         codes, _, _ = self._hash_all(self.matrix, want_probes=False)
-        # Entry positions in (ride id, position) order, and their ride ids:
-        # an entry's rank is its index here, so that sorting candidates by
-        # rank puts a ride's routes side by side.
         n = len(self.ids)
-        self._by_ride = np.argsort(self.ids, kind="stable")
-        self._rank_ids = self.ids[self._by_ride]
         # One sorted array of every table's buckets. A bucket key is the
         # mixed codes plus its table's salt, so one searchsorted probes all
         # tables; salts are redrawn until no two tables share a salted key,
         # and a probe hits only a bucket of its own table (_bucket_table).
-        # Bucket b holds the entry ranks
-        # _entries[_bucket_starts[b]:][:_bucket_lens[b]].
+        # Bucket b holds the entries _entries[_bucket_starts[b]:][:_bucket_lens[b]].
         mixed = (codes.astype(np.uint64) * self.mults).sum(axis=2, dtype=np.uint64).T
         salt_rng = np.random.default_rng((seed, 0x53))
         while True:
@@ -265,9 +266,7 @@ class LshIndex:
         self._bucket_table = table_of[starts]
         self._bucket_starts = starts
         self._bucket_lens = np.diff(np.append(starts, tables * n))
-        ride_rank = np.empty(n, dtype=np.int64)
-        ride_rank[self._by_ride] = np.arange(n)
-        self._entries = ride_rank[order % n]
+        self._entries = order % n
 
     def _fn_blocks(self, n_rows: int):
         """(first, end) function ranges of at most _HASH_BLOCK values over n_rows rows."""
@@ -377,12 +376,11 @@ class LshIndex:
         return results, counts, raws
 
     def _candidates(self, qmat, probes):
-        """Every (query row, entry rank) retrieved, repeats included.
+        """Every (query row, entry) retrieved, repeats included.
 
         The probe keys of every (query, table) row come from one _probe_keys
         call, and one searchsorted into the salted bucket keys probes every
-        table. Returns (query rows, entry ranks, raw retrieved count per
-        query).
+        table. Returns (query rows, entries, raw retrieved count per query).
         """
         nq = qmat.shape[0]
         codes, alts, margins = self._hash_all(qmat, want_probes=True)
@@ -402,9 +400,9 @@ class LshIndex:
         hit_q = hits // pkeys[0].size  # (table, probe) cells per query
         bucket = bucket.take(hits)
         lens = self._bucket_lens[bucket]
-        ranks = self._entries[_concat_ranges(self._bucket_starts[bucket], lens)]
+        entries = self._entries[_concat_ranges(self._bucket_starts[bucket], lens)]
         q = np.repeat(hit_q, lens)
-        return q, ranks, np.bincount(q, minlength=nq)
+        return q, entries, np.bincount(q, minlength=nq)
 
     def _find_buckets(self, pkeys):
         """Per salted probe key, shape (..., tables, probes): its bucket and
@@ -417,32 +415,30 @@ class LshIndex:
 
     def _query_chunk(self, qmat, k, probes, exclude_ids):
         nq, n = qmat.shape[0], len(self.ids)
-        qidx, rank, raw_counts = self._candidates(qmat, probes)
+        qidx, entry, raw_counts = self._candidates(qmat, probes)
         # distinct (query, entry) pairs, sorted by (query, ride id, entry),
         # less each query's excluded ride; arrays are freed as soon as they
         # are read, since they hold every retrieved pair
         qidx *= n
-        qidx += rank
-        del rank
+        qidx += entry
+        del entry
         qidx.sort()
         pair = qidx[_first_of_runs(qidx)]
         del qidx
-        qidx, rank = np.divmod(pair, n)
+        qidx, entry = np.divmod(pair, n)
         del pair
-        rids = self._rank_ids[rank]
+        rids = self.ids[entry]
         if exclude_ids is not None:
             keep = rids != exclude_ids[qidx]
-            qidx, rank, rids = qidx[keep], rank[keep], rids[keep]
+            qidx, entry, rids = qidx[keep], entry[keep], rids[keep]
             del keep
         bounds = np.searchsorted(qidx, np.arange(nq + 1))
-        pos = self._by_ride[rank]
-        del rank
         # scores against each query's own row (only data rows are gathered,
         # one query's candidates at a time)
-        scores = np.empty(len(pos))
+        scores = np.empty(len(entry))
         for row, s, e in zip(qmat, bounds[:-1].tolist(), bounds[1:].tolist()):
-            np.einsum("ij,j->i", self.matrix.take(pos[s:e], axis=0), row, out=scores[s:e])
-        del pos
+            np.einsum("ij,j->i", self.matrix.take(entry[s:e], axis=0), row, out=scores[s:e])
+        del entry
         # each (query, ride)'s best route, over the whole chunk at once
         first = _first_of_runs(rids)
         first[1:] |= qidx[1:] != qidx[:-1]
@@ -503,8 +499,8 @@ def query(
 def find_potential_matches(
     rides,
     cfg: LshConfig | None = None,
-    space_precision: int = 7,
-    time_interval_s: float = 1200.0,
+    space_precision: int = DEFAULT_SPACE_PRECISION,
+    time_interval_s: float = DEFAULT_TIME_INTERVAL_S,
 ) -> tuple[dict[int, list[tuple[int, float]]], MatchSearchSummary]:
     """End-to-end search: top-k potential co-riders for every ride.
 
@@ -542,7 +538,7 @@ def find_potential_matches(
     matches: dict[int, list[tuple[int, float]]] = {r.id: [] for r in rides}
     if not sparse_rows:
         empty = np.zeros(0, dtype=np.int64)
-        return matches, MatchSearchSummary(len(rides), 0, sorted(degenerate), empty, empty)
+        return matches, MatchSearchSummary(len(rides), sorted(degenerate), empty, empty)
 
     data = np.stack([feature_hash(v, cfg.dim, fh_seed, fh_memo) for v in sparse_rows])
     data, _scale = normalize_dataset(data, cfg.max_norm)
@@ -569,7 +565,6 @@ def find_potential_matches(
             matches[query_order[i]] = res
     summary = MatchSearchSummary(
         n_rides=len(rides),
-        n_indexed=len(entry_ids),
         degenerate_ids=sorted(degenerate),
         candidates_per_query=counts,
         raw_retrieved_per_query=raws,

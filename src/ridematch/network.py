@@ -18,6 +18,9 @@ from .roadnet import RoadNetwork, RoutingLedger
 from .trips import Ride
 from .utility import DEFAULT_MAX_DELAY_S, pairwise_utilities
 
+# Largest pool optimal_utility accepts: its network has n(n - 1)/2 pairs
+DEFAULT_OPTIMAL_CAP = 3000
+
 
 @dataclass
 class ShareabilityNetwork:
@@ -79,10 +82,11 @@ def max_weight_matching(g: ShareabilityNetwork) -> MatchingResult:
     AssertionError.
 
     Tie rule: the pairs are a maximum-weight matching; among tied optima, the
-    result is the one the solver reaches in its fixed order (components by
-    lowest ride id, nodes by ascending id, edges by sorted (u, v)). It depends
-    only on the set of weighted edges, not on the order of `g.nodes` or
-    `g.edges`. `total_utility` sums the matched weights in sorted pair order.
+    result is the one the solver reaches in its fixed order within each
+    component (nodes by ascending id, edges by sorted (u, v)). Components are
+    solved independently, so their order does not matter. It depends only on
+    the set of weighted edges, not on the order of `g.nodes` or `g.edges`.
+    `total_utility` sums the matched weights in sorted pair order.
     """
     u, v, w = zip(*g.edges) if g.edges else ((), (), ())
     u = np.array(u, dtype=np.int64)
@@ -101,10 +105,7 @@ def max_weight_matching(g: ShareabilityNetwork) -> MatchingResult:
     n = len(ids)
     adj = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
     n_comp, comp = connected_components(adj, directed=False)
-    # number the components by their smallest node, then group nodes (by id)
-    # and edges (by (u, v)) per component
-    _, first = np.unique(comp, return_index=True)
-    comp = np.argsort(np.argsort(first))[comp]
+    # group nodes (by id) and edges (by (u, v)) per component
     node_order = np.argsort(comp, kind="stable")
     bounds = np.searchsorted(comp[node_order], np.arange(n_comp + 1))
     local = np.empty(n, dtype=np.int64)
@@ -541,7 +542,7 @@ def optimal_utility(
     net: RoadNetwork,
     max_delay_s: float = DEFAULT_MAX_DELAY_S,
     ledger: RoutingLedger | None = None,
-    cap: int = 3000,
+    cap: int = DEFAULT_OPTIMAL_CAP,
 ) -> MatchingResult:
     """Matching over the complete pairwise network: the unbounded-time optimum."""
     n = len(rides)

@@ -38,6 +38,15 @@ SpaceTimeEdgeSet = dict[SpaceTimeEdge, float]
 SparseVector = dict
 
 
+# Search defaults: the geohash precision of a space cell, the length of a
+# time bucket, the data norm cap U and the number m of norm terms of the
+# asymmetric transform.
+DEFAULT_SPACE_PRECISION = 7
+DEFAULT_TIME_INTERVAL_S = 1200.0
+DEFAULT_MAX_NORM = 0.75
+DEFAULT_NORM_TERMS = 2
+
+
 # Bound of the geohash cell cache, keyed by (lat, lon, precision): a float
 # tuple hashes in C, where a GeoPoint key would run its dataclass __hash__.
 _CELL_CACHE_SIZE = 1 << 17
@@ -51,8 +60,8 @@ def _cell_of(lat: float, lon: float, precision: int) -> str:
 def st_edge_set(
     route: Route,
     request_time: float,
-    space_precision: int = 7,
-    time_interval_s: float = 1200.0,
+    space_precision: int = DEFAULT_SPACE_PRECISION,
+    time_interval_s: float = DEFAULT_TIME_INTERVAL_S,
 ) -> SpaceTimeEdgeSet:
     """Space-time discretized edge set of a route served without delay.
 
@@ -149,7 +158,7 @@ def feature_hash(v: SparseVector, d: int, seed: int = 0, memo: dict | None = Non
     return out
 
 
-def normalize_dataset(vectors, max_norm: float = 0.75):
+def normalize_dataset(vectors, max_norm: float = DEFAULT_MAX_NORM):
     """Scale the whole dataset by one factor so the largest l2 norm == max_norm.
 
     A single positive factor preserves the inner-product ranking against any
@@ -171,7 +180,7 @@ def unit_normalize(x: np.ndarray) -> np.ndarray:
     return x / n
 
 
-def transform_Q(x: np.ndarray, norm_terms: int = 2) -> np.ndarray:
+def transform_Q(x: np.ndarray, norm_terms: int = DEFAULT_NORM_TERMS) -> np.ndarray:
     """Query-side MIPS transform: append zeros (expects a unit-norm input)."""
     x = np.asarray(x, dtype=np.float64)
     if not np.any(x):
@@ -179,7 +188,7 @@ def transform_Q(x: np.ndarray, norm_terms: int = 2) -> np.ndarray:
     return np.concatenate([x, np.zeros(norm_terms)])
 
 
-def transform_P_batch(mat: np.ndarray, norm_terms: int = 2) -> np.ndarray:
+def transform_P_batch(mat: np.ndarray, norm_terms: int = DEFAULT_NORM_TERMS) -> np.ndarray:
     """Data-side MIPS transform of each row: append 1/2 - ||x||^(2^i) for
     i = 1..norm_terms. Every row norm must be < 1 (norm reduction first)."""
     norms = np.linalg.norm(mat, axis=1)

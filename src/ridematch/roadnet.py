@@ -259,10 +259,15 @@ class RoadNetwork:
         and the haversine decides among them; a point the grid does not
         settle, one farther than a cell edge from every node, is compared with
         all nodes. Each block evaluates at most _SNAP_BLOCK (point, node)
-        pairs, at least one point.
+        pairs, at least one point. Raises ValueError for a NaN or infinite
+        coordinate, naming the first such point.
         """
         lats = np.asarray(lats, dtype=np.float64)
         lons = np.asarray(lons, dtype=np.float64)
+        bad = np.flatnonzero(~(np.isfinite(lats) & np.isfinite(lons)))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"cannot snap point {i} ({lats[i]}, {lons[i]}): coordinates must be finite")
         out = np.full(len(lats), -1, dtype=np.int64)
         step = max(1, _SNAP_BLOCK // len(_NEIGHBOUR_CELLS))
         for lo in range(0, len(lats), step):
@@ -339,7 +344,29 @@ class RoadNetwork:
             return cls.from_dict(json.load(f))
 
 
-DEFAULT_ORIGIN = GeoPoint(40.72, -74.0)
+# South-west corner of the synthetic cities
+CITY_ORIGIN = GeoPoint(40.72, -74.0)
+# Uniform speed ranges (m/s) of a city's side streets and arterials
+SIDE_SPEED_MPS = (3.0, 5.0)
+ARTERIAL_SPEED_MPS = (12.0, 14.0)
+
+
+def _grid(rows: int, cols: int, spacing_m: float):
+    """(lat, lon, u, v) of a rows x cols grid with bidirectional streets:
+    node r * cols + c sits r rows north and c columns east of CITY_ORIGIN,
+    and each node in id order adds its east street, then its north one,
+    each as (out, back) directed edges."""
+    if rows < 2 or cols < 2:
+        raise ValueError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
+    dlat = spacing_m / METERS_PER_DEGREE_LAT
+    dlon = spacing_m / (METERS_PER_DEGREE_LAT * math.cos(math.radians(CITY_ORIGIN.lat)))
+    i = np.arange(rows * cols)
+    r, c = np.divmod(i, cols)
+    east, north = c + 1 < cols, r + 1 < rows
+    keep = np.stack([east, east, north, north], axis=1)
+    u = np.stack([i, i + 1, i, i + cols], axis=1)[keep]
+    v = np.stack([i + 1, i, i + cols, i], axis=1)[keep]
+    return CITY_ORIGIN.lat + r * dlat, CITY_ORIGIN.lon + c * dlon, u, v
 
 
 def build_grid_network(
@@ -347,7 +374,6 @@ def build_grid_network(
     cols: int,
     spacing_m: float = 500.0,
     speed_jitter_seed: int = 0,
-    origin: GeoPoint = DEFAULT_ORIGIN,
 ) -> RoadNetwork:
     """Build a rows x cols grid city with bidirectional streets.
 
@@ -355,31 +381,10 @@ def build_grid_network(
     [6, 14] m/s under the seed, so durations are deterministic but street
     directions are not symmetric.
     """
-    if rows < 2 or cols < 2:
-        raise ValueError(f"grid needs rows, cols >= 2, got {rows}x{cols}")
-    dlat = spacing_m / METERS_PER_DEGREE_LAT
-    dlon = spacing_m / (METERS_PER_DEGREE_LAT * math.cos(math.radians(origin.lat)))
-    lat = np.empty(rows * cols)
-    lon = np.empty(rows * cols)
-    for r in range(rows):
-        for c in range(cols):
-            lat[r * cols + c] = origin.lat + r * dlat
-            lon[r * cols + c] = origin.lon + c * dlon
-    us, vs = [], []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                us.extend((i, i + 1))
-                vs.extend((i + 1, i))
-            if r + 1 < rows:
-                us.extend((i, i + cols))
-                vs.extend((i + cols, i))
+    lat, lon, u, v = _grid(rows, cols, spacing_m)
     rng = np.random.default_rng(speed_jitter_seed)
-    speeds = rng.uniform(6.0, 14.0, size=len(us))
-    durations = spacing_m / speeds
-    lengths = np.full(len(us), float(spacing_m))
-    return RoadNetwork(lat, lon, us, vs, durations, lengths)
+    speeds = rng.uniform(6.0, 14.0, size=len(u))
+    return RoadNetwork(lat, lon, u, v, spacing_m / speeds, np.full(len(u), float(spacing_m)))
 
 
 def build_city_network(
@@ -388,21 +393,21 @@ def build_city_network(
     spacing_m: float = 500.0,
     seed: int = 0,
     arterial_every: int = 5,
-    side_speed: tuple[float, float] = (3.0, 5.0),
-    arterial_speed: tuple[float, float] = (12.0, 14.0),
-    origin: GeoPoint = DEFAULT_ORIGIN,
 ) -> RoadNetwork:
     """Grid city with an arterial hierarchy: every `arterial_every`-th row and
-    column is fast, side streets are slow.
+    column is fast (ARTERIAL_SPEED_MPS), side streets are slow
+    (SIDE_SPEED_MPS).
 
     The speed contrast makes shortest paths funnel onto shared trunk
     corridors, the way real commutes do; the returned network carries the
     arterial intersection node ids in `net.hubs` (used by the synthetic
     workload generator as demand anchors).
     """
-    base = build_grid_network(rows, cols, spacing_m, seed, origin)
+    lat, lon, u, v = _grid(rows, cols, spacing_m)
+    # speeds are drawn in the network's (u, v) edge order
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
     rng = np.random.default_rng((seed, 0xA57))
-    u, v = base.edge_u, base.edge_v
     row_u, col_u = u // cols, u % cols
     horizontal = row_u == v // cols
     arterial = ((row_u % arterial_every == 0) & horizontal) | (
@@ -410,10 +415,10 @@ def build_city_network(
     )
     speeds = np.where(
         arterial,
-        rng.uniform(arterial_speed[0], arterial_speed[1], len(u)),
-        rng.uniform(side_speed[0], side_speed[1], len(u)),
+        rng.uniform(*ARTERIAL_SPEED_MPS, len(u)),
+        rng.uniform(*SIDE_SPEED_MPS, len(u)),
     )
-    net = RoadNetwork(base.node_lat, base.node_lon, u, v, spacing_m / speeds, base.edge_length)
+    net = RoadNetwork(lat, lon, u, v, spacing_m / speeds, np.full(len(u), float(spacing_m)))
     node_rows = np.arange(net.n_nodes) // cols
     node_cols = np.arange(net.n_nodes) % cols
     net.hubs = np.nonzero((node_rows % arterial_every == 0) & (node_cols % arterial_every == 0))[0]

@@ -21,6 +21,13 @@ REQUIRED_COLUMNS = (
 )
 
 
+# synth_commute: a pickup's depth along its corridor, as a fraction of the
+# hotspot's distance from the centre, and the downtown district's reach, as
+# a fraction of the largest L1 distance from the centre
+PICKUP_DEPTH = (0.5, 1.0)
+DOWNTOWN_FRAC = 0.33
+
+
 class TripsFormatError(ValueError):
     """The trips CSV is missing a required column."""
 
@@ -43,19 +50,18 @@ class Ride:
 class Workload:
     rides: list[Ride]
     label: str
-    load_fraction: float = 1.0
     skipped: dict[str, int] = field(default_factory=dict)
 
 
-def _build_rides(points, times, net, ledger, alternates, start_id=0, nodes=None):
-    """Route (pickup, dropoff) pairs and assemble Rides; drops same-node pairs.
+def _build_rides(points, times, net, ledger, alternates, nodes=None):
+    """Route (pickup, dropoff) pairs and assemble Rides, ids from 0 in order;
+    drops same-node pairs.
 
     nodes, if given, are the points' snapped (pickup, dropoff) nodes in order.
     """
     routed = batch_route_multi(net, points, ledger, alternates=alternates, nodes=nodes)
     rides = []
     dropped = {"same_node": 0, "unreachable": 0}
-    rid = start_id
     for (pickup, dropoff), t, routes in zip(points, times, routed):
         if routes is None:
             dropped["unreachable"] += 1
@@ -66,7 +72,7 @@ def _build_rides(points, times, net, ledger, alternates, start_id=0, nodes=None)
             continue
         rides.append(
             Ride(
-                id=rid,
+                id=len(rides),
                 pickup=pickup,
                 dropoff=dropoff,
                 request_time=float(t),
@@ -76,7 +82,6 @@ def _build_rides(points, times, net, ledger, alternates, start_id=0, nodes=None)
                 dropoff_node=best.nodes[-1],
             )
         )
-        rid += 1
     return rides, dropped
 
 
@@ -95,7 +100,6 @@ def load_trips_csv(
     ledger: RoutingLedger,
     utc_offset_hours: float = 0.0,
     alternates: int = 1,
-    label: str = "csv",
 ) -> Workload:
     """Load rides from a NY-yellow-taxi-schema CSV.
 
@@ -144,7 +148,7 @@ def load_trips_csv(
             times.append(t)
     rides, dropped = _build_rides(points, times, net, ledger, alternates)
     skipped.update(dropped)
-    return Workload(rides=rides, label=label, load_fraction=1.0, skipped=skipped)
+    return Workload(rides=rides, label="csv", skipped=skipped)
 
 
 def synth_commute(
@@ -157,8 +161,6 @@ def synth_commute(
     mode: str = "morning",
     ledger: RoutingLedger | None = None,
     alternates: int = 1,
-    depth_range: tuple[float, float] = (0.5, 1.0),
-    core_frac: float = 0.33,
     pulse_s: float | None = 1200.0,
     pulse_offset: float = 300.0,
     pulse_spread: float = 150.0,
@@ -166,10 +168,10 @@ def synth_commute(
     """Generate a commute workload on the network.
 
     Morning mode strings pickups along `hotspot_count` radial corridors (each
-    anchored at an outer hub node, sampled at a random depth toward downtown
-    and jittered by spread_m), and scatters dropoffs across the downtown
-    district (hubs within core_frac of the centre). Evening mode swaps the
-    roles. Request times arrive in pulses (train-arrival style): one pulse
+    anchored at an outer hub node, sampled at a depth drawn from PICKUP_DEPTH
+    toward downtown and jittered by spread_m), and scatters dropoffs across
+    the downtown district (hubs within DOWNTOWN_FRAC of the centre). Evening
+    mode swaps the roles. Request times arrive in pulses (train-arrival style): one pulse
     per `pulse_s` starting `pulse_offset` into the window, each ride within
     +-pulse_spread of its pulse; pulse_s=None gives uniform times instead.
     Deterministic under the seed.
@@ -194,7 +196,7 @@ def synth_commute(
         band = hubs[np.argsort(-d_l1[hubs])][: max(hotspot_count, 1)]
     k = min(hotspot_count, len(band))
     hotspots = rng.choice(band, size=k, replace=False)
-    district = hubs[d_l1[hubs] <= core_frac * d_l1.max()]
+    district = hubs[d_l1[hubs] <= DOWNTOWN_FRAC * d_l1.max()]
     if len(district) == 0:
         district = hubs[np.argsort(d_l1[hubs])][: max(4, len(hubs) // 8)]
 
@@ -215,7 +217,7 @@ def synth_commute(
     while len(points) < n:
         m = n - len(points)
         h = hotspots[rng.integers(0, k, m)]
-        depth = rng.uniform(depth_range[0], depth_range[1], m)
+        depth = rng.uniform(*PICKUP_DEPTH, m)
         raw_lat = clat + depth * (lat[h] - clat)
         raw_lon = clon + depth * (lon[h] - clon)
         anchor = snap_to_hub(raw_lat, raw_lon)
@@ -244,7 +246,7 @@ def synth_commute(
             times.append(t[i])
             nodes += (snaps_p[i], snaps_q[i])
     rides, dropped = _build_rides(points, times, net, ledger, alternates, nodes=nodes)
-    return Workload(rides=rides, label=f"synth-{mode}", load_fraction=1.0, skipped=dropped)
+    return Workload(rides=rides, label=f"synth-{mode}", skipped=dropped)
 
 
 def subsample(w: Workload, rate: float, seed: int = 0) -> Workload:
@@ -252,13 +254,13 @@ def subsample(w: Workload, rate: float, seed: int = 0) -> Workload:
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
     if rate == 1.0:
-        return Workload(rides=list(w.rides), label=w.label, load_fraction=1.0)
+        return Workload(rides=list(w.rides), label=w.label)
     n = len(w.rides)
     size = int(math.floor(rate * n + 0.5))
     rng = np.random.default_rng(seed)
     keep = np.sort(rng.choice(n, size=size, replace=False))
     rides = [w.rides[i] for i in keep]
-    return Workload(rides=rides, label=w.label, load_fraction=rate)
+    return Workload(rides=rides, label=w.label)
 
 
 def write_trips_csv(w: Workload, path, utc_offset_hours: float = 0.0):

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _id_rank, _top_k
+from .baselines import DEFAULT_MAX_DELAY_S, _id_rank, _top_k
 from .roadnet import RoadNetwork, RoutingLedger
 from .trips import Ride
-
-DEFAULT_MAX_DELAY_S = 600.0  # 10-minute maximum pickup delay
 
 ORDERING_LABELS = ("ssTT", "ssT'T", "s'sT'T", "s'sTT'")
 

@@ -82,6 +82,17 @@ class TestConfigValidation:
             norm_terms=3, max_norm=0.5, seed=99, k=7,
         )
 
+    def test_no_lsh_section_gives_the_library_defaults(self):
+        # only the seed and k come from the config; every other field is LshConfig's
+        for k in (None, 4):
+            raw = {"scenario": {"synth": {}}, "seed": 5, **({} if k is None else {"k": k})}
+            cfg = ExperimentConfig.from_dict(raw)
+            assert cfg.lsh_config() == LshConfig(seed=cli._stage_seed(5, "lsh"), k=k or LshConfig.k)
+        cfg = ExperimentConfig.from_dict({"scenario": {"synth": {}}})
+        assert (cfg.k, cfg.max_delay_s, cfg.space_precision, cfg.time_interval_s) == (
+            LshConfig.k, 600.0, 7, 1200.0,
+        )
+
     def test_every_network_and_synth_key_reaches_its_argument(self, monkeypatch):
         calls = {}
         for name in ("build_city_network", "build_grid_network", "synth_commute"):

@@ -265,12 +265,11 @@ class TestSuggestParams:
 
 def _table_stores(idx):
     """Per table of the salted store: (its salted bucket keys in store order,
-    bucket lengths, entry positions bucket by bucket, from the stored ranks)."""
+    bucket lengths, entries bucket by bucket)."""
     for tbl in range(idx.tables):
         b = np.flatnonzero(idx._bucket_table == tbl)
         starts, lens = idx._bucket_starts[b], idx._bucket_lens[b]
-        ranks = np.concatenate([idx._entries[s : s + m] for s, m in zip(starts, lens)])
-        yield idx._bucket_keys[b], lens, idx._by_ride[ranks]
+        yield idx._bucket_keys[b], lens, np.concatenate([idx._entries[s : s + m] for s, m in zip(starts, lens)])
 
 
 class TestBuildIndex:
@@ -550,6 +549,10 @@ class TestRanking:
         rows[51:] = [0.0, 0, 0.8, 0.6, 0, 0]
         perm = rng.permutation(len(ids))
         idx = LshIndex(ids[perm], rows[perm], tables=2, hash_bits=2, seed=3, cp_dim=1)
+        # the index stores the rows in (ride id, given position) order
+        by_ride = np.argsort(ids[perm], kind="stable")
+        assert np.array_equal(idx.ids, ids[perm][by_ride])
+        assert np.array_equal(idx.matrix, rows[perm][by_ride])
         qmat = np.array([[1.0, 0, 0, 0, 0, 0], [0.6, 0.8, 0, 0, 0, 0]])
         k = 5
         results, distinct, _ = idx.query_batch(qmat, k, probes_per_table=4)

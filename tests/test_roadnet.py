@@ -431,6 +431,25 @@ class TestSnapping:
         assert ties > 1000
         assert net.nearest_node(GeoPoint(lats[0], lons[0])) == got[0] == min(u[0], v[0])
 
+    @pytest.mark.parametrize(
+        "lats, lons, first",
+        [
+            ([40.72, np.nan], [-74.0, -74.0], 1),
+            ([np.nan, 40.72], [-74.0, np.inf], 0),
+            ([40.72, 40.72, 40.72], [-74.0, -74.0, -np.inf], 2),
+            ([np.inf], [-74.0], 0),
+        ],
+    )
+    def test_non_finite_point_rejected(self, lats, lons, first):
+        net = build_city_network(5, 5, 500.0, seed=0)
+        with pytest.raises(ValueError, match=rf"^cannot snap point {first} \("):
+            net.nearest_nodes(lats, lons)
+
+    def test_empty_input_gives_empty_array(self):
+        net = build_city_network(5, 5, 500.0, seed=0)
+        got = net.nearest_nodes([], [])
+        assert got.shape == (0,) and got.dtype == np.int64
+
 
 class TestDistanceMatrix:
     @pytest.mark.parametrize("size", [21, 30])

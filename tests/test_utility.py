@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ridematch.utility as utility
 from ridematch.roadnet import RoutingLedger
+from ridematch.trips import Ride
 from ridematch.utility import (
     ORDERING_LABELS,
     brute_force_topk,
@@ -197,3 +200,23 @@ class TestPairwiseUtilities:
         assert ledger.call_count == 6 * len(pairs)
         for (i, j), w in zip(pairs, weights):
             assert w == pytest.approx(matching_utility(rides[i], rides[j], city21), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_symmetric_and_bounded_by_the_shorter_ride(self, city21, data):
+        # rides between random nodes, each costing its shortest duration
+        node = st.integers(0, city21.n_nodes - 1)
+        specs = data.draw(st.lists(st.tuples(node, node, st.floats(0.0, 3600.0)), min_size=2, max_size=12))
+        dist = city21.distance_matrix([s for s, _, _ in specs])
+        rides = [
+            Ride(i, city21.node_point(s), city21.node_point(t), rt, [], float(dist[i, t]), s, t)
+            for i, (s, t, rt) in enumerate(specs)
+        ]
+        index = st.integers(0, len(rides) - 1)
+        pairs = np.array(data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=30)), dtype=np.int64)
+        max_delay_s = data.draw(st.floats(1.0, 3600.0))
+        u = pairwise_utilities(city21, rides, pairs, max_delay_s)
+        assert np.array_equal(u, pairwise_utilities(city21, rides, pairs[:, ::-1], max_delay_s))
+        costs = np.array([r.cost for r in rides])
+        assert np.all(u >= 0.0)
+        assert np.all(u <= np.minimum(costs[pairs[:, 0]], costs[pairs[:, 1]]) + 1e-9)
