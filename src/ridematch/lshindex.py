@@ -219,9 +219,12 @@ class LshIndex:
         if tables < 1 or hash_bits < 1:
             raise ValueError("tables and hash_bits must be >= 1")
         ids = np.asarray(ids, dtype=np.int64)
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if len(matrix) != len(ids):
+            raise ValueError(f"need one id per row, got {len(ids)} ids for {len(matrix)} rows")
         by_ride = np.argsort(ids, kind="stable")
         self.ids = ids[by_ride]
-        self.matrix = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64)[by_ride])
+        self.matrix = np.ascontiguousarray(matrix[by_ride])
         if np.any(np.linalg.norm(self.matrix, axis=1) == 0.0):
             raise ValueError("cannot index zero vectors")
         self.tables = tables

@@ -352,6 +352,11 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             LshIndex([0], np.zeros((1, 8)), tables=2, hash_bits=2)
 
+    @pytest.mark.parametrize("n_ids", [2, 4])
+    def test_one_id_per_row_required(self, n_ids):
+        with pytest.raises(ValueError, match=f"got {n_ids} ids for 3 rows"):
+            LshIndex(np.arange(n_ids), np.eye(3), tables=2, hash_bits=2)
+
     def test_deterministic(self, rng):
         rows = _unit_rows(rng, 20, 10)
         a = LshIndex(np.arange(20), rows, tables=4, hash_bits=3, seed=9)
