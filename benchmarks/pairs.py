@@ -1,7 +1,7 @@
 """Run alternating parent/change pairs of the benchmark and summarize them.
 
     python3 benchmarks/pairs.py --parent HEAD~1 --change HEAD \
-        --seeds 501-510 --out BENCH_<n>.json
+        --seeds 501-510 --trace-seed 511 --out BENCH_<n>.json
 
 Each commit is `git archive`d into its own temporary directory, so both
 sides run the committed files only. A pair runs `perfbench/run.py --trace 0`
@@ -12,7 +12,9 @@ every workload it lists is run, each run lasts its `run_seconds`, and each
 metric's direction is its `better` field. The output holds every run's
 JSON line and, per workload and metric, each side's median and quartiles, the
 pairs the change won and tied, and the median of the per-pair change/parent
-ratios.
+ratios. With --trace-seed, one more pair per workload runs with `--trace 1`
+for --trace-seconds, and the output sets each side's per-layer metrics (the
+`per_layer` list of BENCHMARK.json) side by side: where the time went.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ def archive(commit: str, repo: Path, dest: Path) -> None:
         raise SystemExit(f"error: git archive {commit} failed")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run: its JSON line, or an error record."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One `perfbench/run.py` run: its JSON line, or an error record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -116,6 +118,22 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def layers(traced: dict, per_layer: list[dict]) -> dict:
+    """Per workload and per-layer metric: the parent's and the change's value
+    in one traced pair, and change/parent.
+
+    traced: workload -> side -> run JSON. per_layer: BENCHMARK.json's list.
+    """
+    out: dict = {}
+    for workload, sides in traced.items():
+        out[workload] = {}
+        for m in per_layer:
+            a, b = (sides[side].get("metrics", {}).get(m["name"], {}).get("value") for side in SIDES)
+            if a is not None and b is not None:
+                out[workload][m["name"]] = {"parent": a, "change": b, "ratio": b / a if a else None}
+    return out
+
+
 def _cores_and_memory() -> dict:
     try:
         pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
@@ -130,6 +148,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD~1", help="commit of the parent side (default HEAD~1)")
     parser.add_argument("--change", default="HEAD", help="commit of the change side (default HEAD)")
     parser.add_argument("--seeds", required=True, type=parse_seeds, help='one pair per seed: "501-510" or "1,5,9"')
+    parser.add_argument("--trace-seed", type=int, help="also run one traced pair per workload on this seed")
+    parser.add_argument("--trace-seconds", type=float, default=15.0, help="run length of a traced run (default 15)")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
@@ -152,6 +172,13 @@ def main(argv=None) -> int:
                     result = run_once(checkouts[side], workload, seed, seconds)
                     runs[workload][side][str(seed)] = result
                     print(f"{workload} seed {seed} {side}: correct={result.get('correct')}", file=sys.stderr)
+        traced = {}
+        if args.trace_seed is not None:
+            for workload in workloads:
+                traced[workload] = {
+                    side: run_once(checkouts[side], workload, args.trace_seed, args.trace_seconds, trace=1)
+                    for side in SIDES
+                }
 
     report = {
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> --seconds {seconds:g} --trace 0",
@@ -164,6 +191,14 @@ def main(argv=None) -> int:
         "summary": summarize(runs, bench["end_to_end"]),
         "runs": runs,
     }
+    if traced:
+        report["traced"] = {
+            "command": f"python3 perfbench/run.py --workload <workload> --seed {args.trace_seed} "
+            f"--seconds {args.trace_seconds:g} --trace 1",
+            "order": list(SIDES),
+            "layers": layers(traced, bench["per_layer"]),
+            "runs": traced,
+        }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -284,7 +284,9 @@ def _build_workload(cfg: ExperimentConfig, net: RoadNetwork, ledger: RoutingLedg
 def _proposal_stage(approach, rides, cfg):
     """Run one approach's search phase; returns (proposals, lsh summary or None)."""
     if approach == "lsh":
-        return find_potential_matches(rides, cfg.lsh_config(), cfg.space_precision, cfg.time_interval_s)
+        return find_potential_matches(
+            rides, cfg.lsh_config(), cfg.space_precision, cfg.time_interval_s, cfg.max_delay_s
+        )
     bl = _args("baseline", cfg.baseline)
     if approach == "closeby":
         return baselines.closeby(rides, cfg.k), None

@@ -10,6 +10,12 @@ counts as exactly 0, which hashes to the + side with margin 0. Per table,
 `hash_bits` function outputs are mixed into one 64-bit bucket key with seeded
 odd multipliers plus a per-table salt, which makes multi-probe a matter of
 O(1) key deltas.
+An index given request times and `max_delay_s` also keys each bucket by its
+slab, floor(t / max_delay_s), with a per-slab salt. A query probes its own
+slab and the two beside it, the only slabs a ride within max_delay_s can
+sit in, and drops every entry with |dt| > max_delay_s before ranking: the
+same `<=` rule as utility._evaluate, under which such a pair has zero
+utility.
 Retrieved candidates are re-scored by exact inner product, so only the
 candidate set is approximate, never the scores.
 """
@@ -23,6 +29,7 @@ from hashlib import blake2b
 
 import numpy as np
 
+from .baselines import DEFAULT_MAX_DELAY_S
 from .represent import (
     DEFAULT_MAX_NORM,
     DEFAULT_NORM_TERMS,
@@ -188,9 +195,10 @@ class LshIndex:
     Immutable after construction. The rows are stored in (ride id, given
     position) order, so sorting candidates by entry puts a ride's routes
     side by side. All tables share one flat store: every table's bucket
-    keys, each salted by its table, in one sorted array, and each bucket's
-    start and length in one array of entries. So one searchsorted probes
-    every table, rather than per-bucket dicts.
+    keys, each salted by its table (and, given request times, by its slab),
+    in one sorted array, and each bucket's start and length in one array of
+    entries. So one searchsorted probes every table and slab, rather than
+    per-bucket dicts.
     """
 
     _QUERY_CHUNK = 1024
@@ -207,8 +215,15 @@ class LshIndex:
         hash_bits: int,
         seed: int = 0,
         cp_dim: int | None = None,
+        request_times=None,
+        max_delay_s: float | None = None,
     ):
         """Hash every row of matrix into `tables` tables of `hash_bits` functions.
+
+        Given request_times (one per row) and max_delay_s, every bucket is
+        also keyed by its rows' slab, floor(t / max_delay_s), and queries
+        must then pass their own request times. Without them the index has
+        one slab and no time filter.
 
         The projection `proj` is a (dim, tables*hash_bits*cp_dim) float64
         matrix: 8*dim*tables*hash_bits*cp_dim bytes, 520 KB for dim 130 and
@@ -222,9 +237,23 @@ class LshIndex:
         matrix = np.asarray(matrix, dtype=np.float64)
         if len(matrix) != len(ids):
             raise ValueError(f"need one id per row, got {len(ids)} ids for {len(matrix)} rows")
+        if (request_times is None) != (max_delay_s is None):
+            raise ValueError("request_times and max_delay_s go together: give both or neither")
         by_ride = np.argsort(ids, kind="stable")
         self.ids = ids[by_ride]
         self.matrix = np.ascontiguousarray(matrix[by_ride])
+        self.max_delay_s = None
+        self._times = None
+        slab = np.zeros(len(ids), dtype=np.int64)
+        if request_times is not None:
+            if not (math.isfinite(max_delay_s) and max_delay_s > 0):
+                raise ValueError(f"max_delay_s must be positive and finite, got {max_delay_s}")
+            times = np.asarray(request_times, dtype=np.float64)
+            if times.shape != ids.shape:
+                raise ValueError(f"need one request time per row, got {times.size} for {len(ids)} rows")
+            self.max_delay_s = float(max_delay_s)
+            self._times = times[by_ride]
+            slab = self._slab_of(self._times)
         if np.any(np.linalg.norm(self.matrix, axis=1) == 0.0):
             raise ValueError("cannot index zero vectors")
         self.tables = tables
@@ -248,28 +277,45 @@ class LshIndex:
 
         codes, _, _ = self._hash_all(self.matrix, want_probes=False)
         n = len(self.ids)
-        # One sorted array of every table's buckets. A bucket key is the
-        # mixed codes plus its table's salt, so one searchsorted probes all
-        # tables; salts are redrawn until no two tables share a salted key,
-        # and a probe hits only a bucket of its own table (_bucket_table).
+        # One sorted array of every (table, slab)'s buckets. A bucket key is
+        # the mixed codes plus its table's salt plus its slab's salt, so one
+        # searchsorted probes all tables and slabs; salts are redrawn until no
+        # two (table, slab) pairs share a salted key, and a probe hits only a
+        # bucket of its own table and slab (_bucket_table, _bucket_slab).
         # Bucket b holds the entries _entries[_bucket_starts[b]:][:_bucket_lens[b]].
+        # _slabs holds the slabs present, ascending, and slab indices point
+        # into it. Without request times there is one slab, 0, with salt 0.
         mixed = (codes.astype(np.uint64) * self.mults).sum(axis=2, dtype=np.uint64).T
+        self._slabs, entry_slab = np.unique(slab, return_inverse=True)
         salt_rng = np.random.default_rng((seed, 0x53))
         while True:
             self._salts = _draw_salts(salt_rng, tables)
-            flat = (mixed + self._salts[:, None]).ravel()  # at tbl * n + entry
+            if self._times is None:
+                self._slab_salts = np.zeros(1, dtype=np.uint64)
+            else:
+                self._slab_salts = _draw_salts(salt_rng, len(self._slabs))
+            flat = (mixed + self._salts[:, None] + self._slab_salts[entry_slab]).ravel()  # at tbl * n + entry
             order = np.argsort(flat, kind="stable")
             skeys = flat[order]
             first = _first_of_runs(skeys)
             table_of = order // n
-            if not np.any(~first[1:] & (table_of[1:] != table_of[:-1])):
+            slab_of = entry_slab[order % n]
+            group = table_of * len(self._slabs) + slab_of
+            if not np.any(~first[1:] & (group[1:] != group[:-1])):
                 break
         starts = np.flatnonzero(first)
         self._bucket_keys = skeys[starts]
         self._bucket_table = table_of[starts]
+        self._bucket_slab = slab_of[starts]
         self._bucket_starts = starts
         self._bucket_lens = np.diff(np.append(starts, tables * n))
         self._entries = order % n
+
+    def _slab_of(self, times):
+        """Each time's slab, floor(t / max_delay_s); times must be finite."""
+        if not np.all(np.isfinite(times)):
+            raise ValueError("request times must be finite")
+        return np.floor(times / self.max_delay_s).astype(np.int64)
 
     def _fn_blocks(self, n_rows: int):
         """(first, end) function ranges of at most _HASH_BLOCK values over n_rows rows."""
@@ -357,33 +403,51 @@ class LshIndex:
                         heapq.heappush(heap, (math.fsum(m[i] for i in nxt), sum(1 << i for i in nxt), nxt))
         return keys, valid
 
-    def query_batch(self, qmat, k: int, probes_per_table: int = 1, exclude_ids=None):
+    def query_batch(self, qmat, k: int, probes_per_table: int = 1, exclude_ids=None, query_times=None):
         """Top-k (ride id, exact inner product) per query row, descending.
 
+        An index built with request times needs query_times, one per row,
+        and ranks only the rows within max_delay_s of the query's time; an
+        index built without them takes none.
+
         Returns (results, distinct_candidates_per_query, raw_retrieved_per_query).
+        The distinct candidates are those ranked, in the window and without
+        the excluded ride; the raw count is every entry retrieved, repeats and
+        rows outside the window included.
         """
         if k < 1 or probes_per_table < 1:
             raise ValueError("k and probes_per_table must be >= 1")
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         nq = qmat.shape[0]
+        if (query_times is None) != (self._times is None):
+            need = "needs query_times" if query_times is None else "was built without request times"
+            raise ValueError(f"this index {need}")
+        if query_times is not None:
+            query_times = np.asarray(query_times, dtype=np.float64).reshape(-1)
+            if len(query_times) != nq:
+                raise ValueError(f"need one query time per query row, got {len(query_times)} for {nq}")
         results: list[list[tuple[int, float]]] = []
         counts = np.empty(nq, dtype=np.int64)
         raws = np.empty(nq, dtype=np.int64)
         for lo in range(0, nq, self._QUERY_CHUNK):
             hi = min(lo + self._QUERY_CHUNK, nq)
             excl = None if exclude_ids is None else np.asarray(exclude_ids, dtype=np.int64)[lo:hi]
-            res, cnt, raw = self._query_chunk(qmat[lo:hi], k, probes_per_table, excl)
+            qt = None if query_times is None else query_times[lo:hi]
+            res, cnt, raw = self._query_chunk(qmat[lo:hi], k, probes_per_table, excl, qt)
             results.extend(res)
             counts[lo:hi] = cnt
             raws[lo:hi] = raw
         return results, counts, raws
 
-    def _candidates(self, qmat, probes):
-        """Every (query row, entry) retrieved, repeats included.
+    def _candidates(self, qmat, probes, qtimes):
+        """Every (query row, entry) retrieved within the window, repeats included.
 
         The probe keys of every (query, table) row come from one _probe_keys
-        call, and one searchsorted into the salted bucket keys probes every
-        table. Returns (query rows, entries, raw retrieved count per query).
+        call. Given query times, each is salted for every slab the index holds
+        among the query's own and the two beside it, and every (query, entry)
+        with |dt| > max_delay_s is dropped. One searchsorted into the salted
+        bucket keys probes every table and slab. Returns (query rows, entries,
+        raw retrieved count per query), the raw count before the window filter.
         """
         nq = qmat.shape[0]
         codes, alts, margins = self._hash_all(qmat, want_probes=True)
@@ -397,28 +461,55 @@ class LshIndex:
             probes,
         )
         pkeys = pkeys.reshape(nq, self.tables, -1)
-        bucket, hit = self._find_buckets(pkeys)
-        hit &= pvalid.reshape(pkeys.shape)
+        pvalid = pvalid.reshape(pkeys.shape)
+        row_q = slab = None
+        if qtimes is not None:
+            # one row per (query, held slab): the query's keys plus the slab's salt
+            row_q, slab = self._probe_slabs(qtimes)
+            pkeys = pkeys[row_q] + self._slab_salts[slab][:, None, None]
+            pvalid = pvalid[row_q]
+        bucket, hit = self._find_buckets(pkeys, slab)
+        hit &= pvalid
         hits = hit.ravel().nonzero()[0]
-        hit_q = hits // pkeys[0].size  # (table, probe) cells per query
+        hit_q = hits // pkeys[0].size  # (table, probe) cells per row
+        if row_q is not None:
+            hit_q = row_q[hit_q]
         bucket = bucket.take(hits)
         lens = self._bucket_lens[bucket]
         entries = self._entries[_concat_ranges(self._bucket_starts[bucket], lens)]
         q = np.repeat(hit_q, lens)
-        return q, entries, np.bincount(q, minlength=nq)
+        raw = np.bincount(q, minlength=nq)
+        if qtimes is not None:
+            # the rule of utility._evaluate: a pair is shareable iff |dt| <= max_delay_s
+            keep = np.abs(qtimes[q] - self._times[entries]) <= self.max_delay_s
+            q, entries = q[keep], entries[keep]
+        return q, entries, raw
 
-    def _find_buckets(self, pkeys):
-        """Per salted probe key, shape (..., tables, probes): its bucket and
-        whether it hits, i.e. is a bucket of the probe's own table. A key past
-        the last bucket is a miss, and so is a bucket of another table."""
+    def _probe_slabs(self, qtimes):
+        """(query row, slab index) of every slab the index holds among each
+        query's own slab and the two beside it, by query then slab. A row
+        within max_delay_s of the query lies in one of those three slabs."""
+        near = self._slab_of(qtimes)[:, None] + np.arange(-1, 2)
+        pos = np.minimum(self._slabs.searchsorted(near), len(self._slabs) - 1)
+        row_q, col = (self._slabs[pos] == near).nonzero()
+        return row_q, pos[row_q, col]
+
+    def _find_buckets(self, pkeys, slab=None):
+        """Per salted probe key, shape (rows, tables, probes): its bucket and
+        whether it hits, i.e. is a bucket of the probe's own table and, given
+        each row's slab index, of that slab. A key past the last bucket is a
+        miss, and so is a bucket of another table or slab. An index without
+        request times has one slab and takes no slab."""
         bucket = np.minimum(self._bucket_keys.searchsorted(pkeys), len(self._bucket_keys) - 1)
         hit = self._bucket_keys[bucket] == pkeys
         hit &= self._bucket_table[bucket] == np.arange(self.tables)[:, None]
+        if slab is not None:
+            hit &= self._bucket_slab[bucket] == slab[:, None, None]
         return bucket, hit
 
-    def _query_chunk(self, qmat, k, probes, exclude_ids):
+    def _query_chunk(self, qmat, k, probes, exclude_ids, qtimes):
         nq, n = qmat.shape[0], len(self.ids)
-        qidx, entry, raw_counts = self._candidates(qmat, probes)
+        qidx, entry, raw_counts = self._candidates(qmat, probes, qtimes)
         # distinct (query, entry) pairs, sorted by (query, ride id, entry),
         # less each query's excluded ride; arrays are freed as soon as they
         # are read, since they hold every retrieved pair
@@ -489,13 +580,18 @@ def query(
     k: int,
     probes_per_table: int = 1,
     exclude_id: int | None = None,
+    request_time: float | None = None,
 ) -> list[tuple[int, float]]:
-    """Top-k (ride id, score) for one query vector, descending score."""
+    """Top-k (ride id, score) for one query vector, descending score.
+
+    request_time is required by an index built with request times, and
+    refused by one built without."""
     q = np.asarray(q, dtype=np.float64)
     if not np.any(q):
         raise ValueError("cannot query with a zero vector")
     excl = None if exclude_id is None else np.array([exclude_id], dtype=np.int64)
-    results, _, _ = index.query_batch(q[None, :], k, probes_per_table, exclude_ids=excl)
+    qt = None if request_time is None else np.array([request_time], dtype=np.float64)
+    results, _, _ = index.query_batch(q[None, :], k, probes_per_table, exclude_ids=excl, query_times=qt)
     return results[0]
 
 
@@ -504,14 +600,17 @@ def find_potential_matches(
     cfg: LshConfig | None = None,
     space_precision: int = DEFAULT_SPACE_PRECISION,
     time_interval_s: float = DEFAULT_TIME_INTERVAL_S,
+    max_delay_s: float = DEFAULT_MAX_DELAY_S,
 ) -> tuple[dict[int, list[tuple[int, float]]], MatchSearchSummary]:
     """End-to-end search: top-k potential co-riders for every ride.
 
     Pipeline: space-time edge sets -> data/query sparse vectors -> feature
     hashing (each distinct edge key hashed once per call) -> global data-norm
-    scaling -> asymmetric transforms -> index build -> per-ride multi-probe
-    query. Rides whose route collapses to an empty edge set (or hashes to a
-    zero query) get an empty match list and are flagged in the summary.
+    scaling -> asymmetric transforms -> index build, keyed by request-time
+    slab -> per-ride multi-probe query, ranking only the rides whose request
+    time is within max_delay_s of its own. Rides whose route collapses to an
+    empty edge set (or hashes to a zero query) get an empty match list and
+    are flagged in the summary.
     """
     rides = list(rides)
     cfg = cfg or LshConfig()
@@ -521,6 +620,7 @@ def find_potential_matches(
     index_seed = _child_seed(cfg.seed, "index")
 
     entry_ids: list[int] = []
+    entry_times: list[float] = []
     sparse_rows = []
     query_sparse: dict[int, dict] = {}
     degenerate: list[int] = []
@@ -536,6 +636,7 @@ def find_potential_matches(
         for s in sets:
             if s:
                 entry_ids.append(ride.id)
+                entry_times.append(ride.request_time)
                 sparse_rows.append(preprocessing_vector(s))
 
     matches: dict[int, list[tuple[int, float]]] = {r.id: [] for r in rides}
@@ -546,26 +647,30 @@ def find_potential_matches(
     data = np.stack([feature_hash(v, cfg.dim, fh_seed, fh_memo) for v in sparse_rows])
     data, _scale = normalize_dataset(data, cfg.max_norm)
     pmat = transform_P_batch(data, cfg.norm_terms)
-    index = LshIndex(entry_ids, pmat, cfg.tables, cfg.hash_bits, index_seed, cp_dim=cfg.cp_dim)
+    index = LshIndex(
+        entry_ids, pmat, cfg.tables, cfg.hash_bits, index_seed, cp_dim=cfg.cp_dim,
+        request_times=entry_times, max_delay_s=max_delay_s,
+    )
 
-    query_order = [r.id for r in rides if r.id in query_sparse]
+    query_order = [r for r in rides if r.id in query_sparse]
     qrows = []
-    for rid in query_order:
-        qv = feature_hash(query_sparse[rid], cfg.dim, fh_seed, fh_memo)
+    for ride in query_order:
+        qv = feature_hash(query_sparse[ride.id], cfg.dim, fh_seed, fh_memo)
         try:
             qrows.append(unit_normalize(qv))
         except DegenerateInputError:
-            degenerate.append(rid)
+            degenerate.append(ride.id)
             qrows.append(None)
     live = [i for i, qv in enumerate(qrows) if qv is not None]
     counts = np.zeros(len(live), dtype=np.int64)
     raws = np.zeros(len(live), dtype=np.int64)
     if live:
         qmat = np.stack([transform_Q(qrows[i], cfg.norm_terms) for i in live])
-        excl = np.array([query_order[i] for i in live], dtype=np.int64)
-        results, counts, raws = index.query_batch(qmat, cfg.k, cfg.probes, exclude_ids=excl)
+        excl = np.array([query_order[i].id for i in live], dtype=np.int64)
+        qtimes = np.array([query_order[i].request_time for i in live], dtype=np.float64)
+        results, counts, raws = index.query_batch(qmat, cfg.k, cfg.probes, exclude_ids=excl, query_times=qtimes)
         for i, res in zip(live, results):
-            matches[query_order[i]] = res
+            matches[query_order[i].id] = res
     summary = MatchSearchSummary(
         n_rides=len(rides),
         degenerate_ids=sorted(degenerate),

@@ -26,6 +26,8 @@ REQUIRED_COLUMNS = (
 # a fraction of the largest L1 distance from the centre
 PICKUP_DEPTH = (0.5, 1.0)
 DOWNTOWN_FRAC = 0.33
+# synth_commute's bound on consecutive draws that yield no valid ride
+MAX_EMPTY_DRAWS = 1000
 
 
 class TripsFormatError(ValueError):
@@ -213,7 +215,9 @@ def synth_commute(
 
     points, times, nodes = [], [], []
     # Oversample: pairs snapping to the same node are dropped, so draw until
-    # exactly n valid rides exist.
+    # exactly n valid rides exist; give up after MAX_EMPTY_DRAWS draws in a
+    # row that yield none, as on a city whose hubs are one node.
+    empty_draws = 0
     while len(points) < n:
         m = n - len(points)
         h = hotspots[rng.integers(0, k, m)]
@@ -245,6 +249,12 @@ def synth_commute(
             points.append((GeoPoint(plat[i], plon[i]), GeoPoint(qlat[i], qlon[i])))
             times.append(t[i])
             nodes += (snaps_p[i], snaps_q[i])
+        empty_draws = empty_draws + 1 if len(points) == n - m else 0
+        if empty_draws == MAX_EMPTY_DRAWS:
+            raise ValueError(
+                f"no valid ride in {MAX_EMPTY_DRAWS} draws in a row: each pickup snapped to the node "
+                f"of its dropoff; the network has {len(hubs)} hub(s)"
+            )
     rides, dropped = _build_rides(points, times, net, ledger, alternates, nodes=nodes)
     return Workload(rides=rides, label=f"synth-{mode}", skipped=dropped)
 

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ridematch.lshindex import (
     suggest_params,
 )
 from ridematch.trips import synth_commute
+from ridematch.utility import pairwise_utilities
 
 
 def _unit_rows(rng, n, d):
@@ -677,3 +680,194 @@ class TestFindPotentialMatches:
         )
         assert 777 in summary.degenerate_ids
         assert matches[777] == []
+
+
+def _entry_slabs(idx):
+    """Per stored entry (of table 0), the slab number of the bucket holding it."""
+    slabs = np.empty(len(idx.ids), dtype=np.int64)
+    for b in np.flatnonzero(idx._bucket_table == 0):
+        start, size = idx._bucket_starts[b], idx._bucket_lens[b]
+        slabs[idx._entries[start : start + size]] = idx._slabs[idx._bucket_slab[b]]
+    return slabs
+
+
+class TestSlabKeys:
+    """Given request times and max_delay_s, buckets are keyed by slab,
+    floor(t / max_delay_s), and a query ranks only rides with |dt| <= max_delay_s."""
+
+    def test_times_and_delay_go_together(self, rng):
+        rows = _unit_rows(rng, 3, 8)
+        with pytest.raises(ValueError, match="both or neither"):
+            LshIndex([0, 1, 2], rows, 2, 2, request_times=[0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="both or neither"):
+            LshIndex([0, 1, 2], rows, 2, 2, max_delay_s=600.0)
+        with pytest.raises(ValueError, match="one request time per row"):
+            LshIndex([0, 1, 2], rows, 2, 2, request_times=[0.0, 1.0], max_delay_s=600.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="max_delay_s"):
+                LshIndex([0, 1, 2], rows, 2, 2, request_times=[0.0, 1.0, 2.0], max_delay_s=bad)
+        with pytest.raises(ValueError, match="finite"):
+            LshIndex([0, 1, 2], rows, 2, 2, request_times=[0.0, math.nan, 2.0], max_delay_s=600.0)
+
+    def test_query_times_required_by_a_keyed_index_only(self, rng):
+        rows = _unit_rows(rng, 3, 8)
+        keyed = LshIndex([0, 1, 2], rows, 2, 2, request_times=[0.0, 1.0, 2.0], max_delay_s=600.0)
+        plain = LshIndex([0, 1, 2], rows, 2, 2)
+        with pytest.raises(ValueError, match="needs query_times"):
+            keyed.query_batch(rows, 2)
+        with pytest.raises(ValueError, match="without request times"):
+            plain.query_batch(rows, 2, query_times=[0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="one query time per query row"):
+            keyed.query_batch(rows, 2, query_times=[0.0])
+        with pytest.raises(ValueError, match="finite"):
+            query(keyed, rows[0], 2, request_time=math.inf)
+        assert query(keyed, rows[0], 1, request_time=0.5)[0][0] == 0
+
+    @pytest.mark.parametrize("delay", [600.0, 7.0, 0.75])
+    def test_slab_is_floor_on_edges_and_below_zero(self, rng, delay):
+        # j * delay is exact for these delays, so an edge is slab j
+        edges = [j * delay for j in range(-3, 4)]
+        below = [-1e-9, -0.5 * delay, np.nextafter(-delay, 0.0), np.nextafter(-delay, -np.inf)]
+        times = np.array(edges + below)
+        idx = LshIndex(np.arange(len(times)), _unit_rows(rng, len(times), 8), 3, 2,
+                       request_times=times, max_delay_s=delay)
+        slabs = _entry_slabs(idx)
+        assert np.array_equal(slabs, np.floor(times / delay).astype(np.int64))
+        assert slabs[: len(edges)].tolist() == list(range(-3, 4))
+        assert slabs[len(edges):].tolist() == [-1, -1, -1, -2]
+        assert idx._slabs.tolist() == sorted(set(slabs.tolist()))
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            (0.0, 600.0),
+            (0.0, np.nextafter(600.0, np.inf)),
+            (-600.0, 0.0),  # both on slab edges, one below zero
+            (-np.nextafter(600.0, np.inf), 0.0),  # slabs -2 and 0
+            (-1200.0, -600.0),
+            (1800.0, 2400.0),
+            (-150.0, 450.0),  # slabs -1 and 0, exactly the delay apart
+            (-150.0, np.nextafter(450.0, np.inf)),
+            (250.0, 350.0),
+        ],
+    )
+    def test_window_boundary_agrees_with_the_utility(self, city21, times):
+        # two rides on one route, so the pair saves a whole ride iff its
+        # request times pass utility._evaluate's time_ok; every bucket is
+        # probed, so the hashes decide nothing
+        delay = 600.0
+        ride = synth_commute(city21, 1, seed=31).rides[0]
+        a, b = (dataclasses.replace(ride, id=i, request_time=t) for i, t in enumerate(times))
+        time_ok = abs(a.request_time - b.request_time) <= delay
+        utility = pairwise_utilities(city21, [a, b], np.array([[0, 1]]), delay)[0]
+        assert (utility > 0) == time_ok
+        cfg = LshConfig(tables=2, hash_bits=3, probes=8, dim=32, cp_dim=1, seed=4)
+        matches, summary = find_potential_matches([a, b], cfg, max_delay_s=delay)
+        assert [rid for rid, _ in matches[0]] == ([1] if time_ok else [])
+        assert [rid for rid, _ in matches[1]] == ([0] if time_ok else [])
+        assert summary.candidates_per_query.tolist() == ([1, 1] if time_ok else [0, 0])
+
+    def test_salts_redrawn_until_table_slab_keys_are_unique(self, rng, monkeypatch):
+        import ridematch.lshindex as lshmod
+
+        v = np.repeat(_unit_rows(rng, 1, 10), 2, axis=0)
+        real, draws = lshmod._draw_salts, []
+
+        def colliding_first(rng_, size):
+            draws.append(size)
+            if len(draws) == 2:  # slab 1's salt equals slab 0's: one key in both
+                return np.zeros(size, dtype=np.uint64)
+            return real(rng_, size)
+
+        monkeypatch.setattr(lshmod, "_draw_salts", colliding_first)
+        idx = LshIndex([0, 1], v, 1, 3, seed=4, request_times=[500.0, 700.0], max_delay_s=600.0)
+        assert draws == [1, 2, 1, 2]  # table salts, then slab salts, then both again
+        assert len(idx._bucket_keys) == 2 and idx._bucket_slab.tolist() in ([0, 1], [1, 0])
+        # both rows tie, so the lower ride id comes first in both lists
+        both = [(0, pytest.approx(1.0)), (1, pytest.approx(1.0))]
+        assert idx.query_batch(v, 2, 1, query_times=[500.0, 700.0])[0] == [both, both]
+
+    def test_only_held_slabs_are_probed(self, rng):
+        # slabs 0 and 5 are held; a query in slab 1 probes slab 0 only, one in
+        # slab 3 probes nothing
+        rows = _unit_rows(rng, 4, 8)
+        idx = LshIndex(np.arange(4), rows, 2, 2, request_times=[0.0, 10.0, 3000.0, 3010.0], max_delay_s=600.0)
+        row_q, slab = idx._probe_slabs(np.array([700.0, 1900.0, 3300.0]))
+        assert row_q.tolist() == [0, 2] and idx._slabs[slab].tolist() == [0, 5]
+        _, distinct, raw = idx.query_batch(rows[:3], 4, 4, query_times=[700.0, 1900.0, 3300.0])
+        assert distinct[1] == raw[1] == 0
+
+
+_POOLS: dict = {}
+
+
+def _slab_pool(city, seed, pulsed):
+    """40 rides with two routes each: pulsed request times (one pulse per
+    1200 s, +-150 s) or uniform over two hours, which fill every slab."""
+    key = (seed, pulsed)
+    if key not in _POOLS:
+        pulse = 1200.0 if pulsed else None
+        _POOLS[key] = synth_commute(city, 40, seed=seed, alternates=2, pulse_s=pulse).rides
+    return _POOLS[key]
+
+
+def _windowed_reference(idx, qmat, k, probes, exclude_ids, time_of, delay):
+    """Top-k per query from the candidates of an index built without times:
+    those with |dt| <= delay kept, the best route per ride, descending score
+    with ties to the lowest ride id. Returns (results, distinct per query)."""
+    plain = LshIndex(idx.ids, idx.matrix, idx.tables, idx.hash_bits, idx.seed, idx.cp_dim)
+    qidx, pos, _ = plain._candidates(qmat, probes, None)
+    qt = np.array([time_of[rid] for rid in exclude_ids.tolist()])
+    et = np.array([time_of[rid] for rid in idx.ids.tolist()])
+    keep = (np.abs(qt[qidx] - et[pos]) <= delay) & (idx.ids[pos] != exclude_ids[qidx])
+    results, distinct = [], []
+    for q in range(len(qmat)):
+        entries = np.unique(pos[keep & (qidx == q)])
+        distinct.append(len(entries))
+        scores = np.einsum("ij,j->i", idx.matrix.take(entries, axis=0), qmat[q])
+        best: dict[int, float] = {}
+        for rid, score in zip(idx.ids[entries].tolist(), scores.tolist()):
+            best[rid] = max(best.get(rid, -math.inf), score)
+        results.append(sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))[:k])
+    return results, np.array(distinct)
+
+
+class TestWindowedSearch:
+    """find_potential_matches with slab keys equals the unkeyed index's
+    candidates cut to the window, ranked by the pinned tie rule."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        pulsed=st.booleans(),
+        shift=st.sampled_from([0.0, -3600.0]),
+        grid=st.sampled_from([None, 150.0]),
+        delay=st.sampled_from([300.0, 600.0, 900.0]),
+        probes=st.sampled_from([1, 4, 6]),
+        cp_dim=st.sampled_from([1, 4]),
+        tables=st.integers(1, 6),
+        hash_bits=st.integers(1, 6),
+        k=st.integers(1, 12),
+        lsh_seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_windowed_unkeyed_candidates(
+        self, city21, seed, pulsed, shift, grid, delay, probes, cp_dim, tables, hash_bits, k, lsh_seed
+    ):
+        rides = []
+        for r in _slab_pool(city21, seed, pulsed):
+            t = r.request_time + shift
+            # on a grid, many pairs sit exactly the delay apart and on slab edges
+            rides.append(dataclasses.replace(r, request_time=t if grid is None else grid * round(t / grid)))
+        time_of = {r.id: r.request_time for r in rides}
+        cfg = LshConfig(tables=tables, hash_bits=hash_bits, probes=probes, dim=32, cp_dim=cp_dim, k=k,
+                        seed=lsh_seed)
+        with mock.patch.object(LshIndex, "query_batch", autospec=True,
+                               side_effect=LshIndex.query_batch) as spy:
+            matches, summary = find_potential_matches(rides, cfg, max_delay_s=delay)
+        (idx, qmat, _, _), kw = spy.call_args
+        excl = kw["exclude_ids"]
+        assert kw["query_times"].tolist() == [time_of[rid] for rid in excl.tolist()]
+        want, distinct = _windowed_reference(idx, qmat, k, probes, excl, time_of, delay)
+        assert [matches[rid] for rid in excl.tolist()] == want
+        assert np.array_equal(summary.candidates_per_query, distinct)
+        assert np.all(summary.raw_retrieved_per_query >= summary.candidates_per_query)

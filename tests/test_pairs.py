@@ -52,3 +52,18 @@ def test_summary_pairs_only_seeds_both_sides_ran():
     assert s["query_p50_ms"]["pairs"] == 1
     assert s["query_p50_ms"]["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert s["failed_runs"]["change"] == ["1"]
+
+
+def test_layers_set_each_sides_traced_metrics_side_by_side():
+    per_layer = [{"name": "lshindex.query_batch_s"}, {"name": "lshindex.candidates_per_query"},
+                 {"name": "network.matching_s"}]
+
+    def traced(batch, cands):
+        return {"metrics": {"lshindex.query_batch_s": {"value": batch},
+                            "lshindex.candidates_per_query": {"value": cands}}}
+
+    out = pairs.layers({"search": {"parent": traced(0.2, 0.0), "change": traced(0.1, 75.0)}}, per_layer)
+    assert out == {"search": {
+        "lshindex.query_batch_s": {"parent": 0.2, "change": 0.1, "ratio": 0.5},
+        "lshindex.candidates_per_query": {"parent": 0.0, "change": 75.0, "ratio": None},
+    }}

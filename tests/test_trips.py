@@ -1,4 +1,9 @@
 import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +131,40 @@ class TestSynth:
             synth_commute(city21, 0)
         with pytest.raises(ValueError):
             synth_commute(city21, 5, mode="noon")
+
+
+def _python(args, timeout=60):
+    """Run the interpreter on args with the package importable; a hang fails
+    the test after timeout seconds instead of holding the suite."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env)
+
+
+class TestOneHubCity:
+    """A city whose hubs are one node snaps every pickup to its dropoff's
+    node; synth_commute stops after a bounded number of empty draws."""
+
+    def test_synth_commute_raises_with_the_hub_count(self):
+        code = (
+            "from ridematch.roadnet import build_city_network\n"
+            "from ridematch.trips import synth_commute\n"
+            "net = build_city_network(5, 5, 500.0, seed=0, arterial_every=10)\n"
+            "assert list(net.hubs) == [0]\n"
+            "synth_commute(net, 10, seed=0)\n"
+        )
+        proc = _python(["-c", code])
+        assert proc.returncode == 1
+        assert "ValueError: no valid ride in 1000 draws in a row" in proc.stderr
+        assert "the network has 1 hub(s)" in proc.stderr
+
+    def test_match_bench_run_exits_with_the_message(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"network": {"arterial_every": 25}, "scenario": {"synth": {"n": 20}}}))
+        proc = _python(["-m", "ridematch.cli", "run", "--config", str(config)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: no valid ride in 1000 draws in a row")
+        assert "the network has 1 hub(s)" in proc.stderr
 
 
 class TestSubsample:
