@@ -13,7 +13,7 @@ metric's direction is its `better` field. The output holds every run's
 JSON line and, per workload and metric, each side's median and quartiles, the
 pairs the change won and tied, and the median of the per-pair change/parent
 ratios. With --trace-seed, one more pair per workload runs with `--trace 1`
-for --trace-seconds, and the output sets each side's per-layer metrics (the
+for TRACE_SECONDS, and the output sets each side's per-layer metrics (the
 `per_layer` list of BENCHMARK.json) side by side: where the time went.
 """
 
@@ -30,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACE_SECONDS = 15  # a traced run reads per-layer shares, which need no long run
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -149,7 +150,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD", help="commit of the change side (default HEAD)")
     parser.add_argument("--seeds", required=True, type=parse_seeds, help='one pair per seed: "501-510" or "1,5,9"')
     parser.add_argument("--trace-seed", type=int, help="also run one traced pair per workload on this seed")
-    parser.add_argument("--trace-seconds", type=float, default=15.0, help="run length of a traced run (default 15)")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
@@ -176,7 +176,7 @@ def main(argv=None) -> int:
         if args.trace_seed is not None:
             for workload in workloads:
                 traced[workload] = {
-                    side: run_once(checkouts[side], workload, args.trace_seed, args.trace_seconds, trace=1)
+                    side: run_once(checkouts[side], workload, args.trace_seed, TRACE_SECONDS, trace=1)
                     for side in SIDES
                 }
 
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     if traced:
         report["traced"] = {
             "command": f"python3 perfbench/run.py --workload <workload> --seed {args.trace_seed} "
-            f"--seconds {args.trace_seconds:g} --trace 1",
+            f"--seconds {TRACE_SECONDS} --trace 1",
             "order": list(SIDES),
             "layers": layers(traced, bench["per_layer"]),
             "runs": traced,

@@ -223,7 +223,7 @@ class LshIndex:
         Given request_times (one per row) and max_delay_s, every bucket is
         also keyed by its rows' slab, floor(t / max_delay_s), and queries
         must then pass their own request times. Without them the index has
-        one slab and no time filter.
+        one slab and no time filter: the index for an infinite max_delay_s.
 
         The projection `proj` is a (dim, tables*hash_bits*cp_dim) float64
         matrix: 8*dim*tables*hash_bits*cp_dim bytes, 520 KB for dim 130 and
@@ -608,7 +608,8 @@ def find_potential_matches(
     hashing (each distinct edge key hashed once per call) -> global data-norm
     scaling -> asymmetric transforms -> index build, keyed by request-time
     slab -> per-ride multi-probe query, ranking only the rides whose request
-    time is within max_delay_s of its own. Rides whose route collapses to an
+    time is within max_delay_s of its own (every ride if max_delay_s is
+    infinite, which needs no slabs). Rides whose route collapses to an
     empty edge set (or hashes to a zero query) get an empty match list and
     are flagged in the summary.
     """
@@ -647,9 +648,12 @@ def find_potential_matches(
     data = np.stack([feature_hash(v, cfg.dim, fh_seed, fh_memo) for v in sparse_rows])
     data, _scale = normalize_dataset(data, cfg.max_norm)
     pmat = transform_P_batch(data, cfg.norm_terms)
+    # an infinite delay (no time limit, as in utility._evaluate) keeps every
+    # pair, so the index needs no slabs
+    timed = max_delay_s != math.inf
     index = LshIndex(
         entry_ids, pmat, cfg.tables, cfg.hash_bits, index_seed, cp_dim=cfg.cp_dim,
-        request_times=entry_times, max_delay_s=max_delay_s,
+        request_times=entry_times if timed else None, max_delay_s=max_delay_s if timed else None,
     )
 
     query_order = [r for r in rides if r.id in query_sparse]
@@ -667,7 +671,7 @@ def find_potential_matches(
     if live:
         qmat = np.stack([transform_Q(qrows[i], cfg.norm_terms) for i in live])
         excl = np.array([query_order[i].id for i in live], dtype=np.int64)
-        qtimes = np.array([query_order[i].request_time for i in live], dtype=np.float64)
+        qtimes = np.array([query_order[i].request_time for i in live], dtype=np.float64) if timed else None
         results, counts, raws = index.query_batch(qmat, cfg.k, cfg.probes, exclude_ids=excl, query_times=qtimes)
         for i, res in zip(live, results):
             matches[query_order[i].id] = res

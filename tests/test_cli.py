@@ -174,6 +174,16 @@ class TestRunExperiment:
         assert statuses["optimal"].startswith("failed")
         assert statuses["closeby"] == "ok"
 
+    def test_infinite_delay_runs_every_approach(self):
+        # json.load reads `Infinity`, and the schema takes it as no time limit
+        raw = json.loads((DATA / "fixture_config.json").read_text().replace("600.0", "Infinity"))
+        raw["scenario"] = {"synth": {"n": 30, "seed": 1}}
+        raw["approaches"] = ["lsh", "closeby", "optimal"]
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        assert [r["status"] for r in report.rows] == ["ok", "ok", "ok"]
+        lsh = report.rows[0]
+        assert lsh["mean_candidates"] > 0 and lsh["total_utility_s"] > 0
+
     def test_failure_status_carries_message(self):
         raw = json.loads((DATA / "fixture_config.json").read_text())
         raw["scenario"] = {"synth": {"n": 30, "seed": 1}}

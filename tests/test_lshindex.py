@@ -842,7 +842,7 @@ class TestWindowedSearch:
         pulsed=st.booleans(),
         shift=st.sampled_from([0.0, -3600.0]),
         grid=st.sampled_from([None, 150.0]),
-        delay=st.sampled_from([300.0, 600.0, 900.0]),
+        delay=st.sampled_from([300.0, 600.0, 900.0, math.inf]),
         probes=st.sampled_from([1, 4, 6]),
         cp_dim=st.sampled_from([1, 4]),
         tables=st.integers(1, 6),
@@ -866,7 +866,10 @@ class TestWindowedSearch:
             matches, summary = find_potential_matches(rides, cfg, max_delay_s=delay)
         (idx, qmat, _, _), kw = spy.call_args
         excl = kw["exclude_ids"]
-        assert kw["query_times"].tolist() == [time_of[rid] for rid in excl.tolist()]
+        if delay == math.inf:  # no time limit: the index has no slabs
+            assert kw["query_times"] is None and idx._times is None
+        else:
+            assert kw["query_times"].tolist() == [time_of[rid] for rid in excl.tolist()]
         want, distinct = _windowed_reference(idx, qmat, k, probes, excl, time_of, delay)
         assert [matches[rid] for rid in excl.tolist()] == want
         assert np.array_equal(summary.candidates_per_query, distinct)
