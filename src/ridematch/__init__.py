@@ -1,6 +1,6 @@
 """Sublinear ride-match search via spatio-temporal LSH, with baselines and evaluation."""
 
-from .geo import GeoPoint, geohash_encode, haversine_km, time_bucket
+from .geo import GeoPoint, geohash_encode, haversine_km
 from .lshindex import LshConfig, find_potential_matches, query, suggest_params
 from .network import build_network, max_weight_matching, optimal_utility
 from .roadnet import (
@@ -19,7 +19,6 @@ __all__ = [
     "GeoPoint",
     "geohash_encode",
     "haversine_km",
-    "time_bucket",
     "LshConfig",
     "find_potential_matches",
     "query",

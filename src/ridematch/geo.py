@@ -92,9 +92,3 @@ def geohash_encode(p: GeoPoint, precision: int) -> CellId:
             bit = 0
     return "".join(chars)
 
-
-def time_bucket(t: float, interval_s: float) -> TimeBucket:
-    """Bucket index floor(t / interval_s), boundaries aligned to epoch 0."""
-    if interval_s <= 0:
-        raise ValueError(f"interval must be positive, got {interval_s}")
-    return math.floor(t / interval_s)

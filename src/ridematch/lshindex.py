@@ -3,13 +3,13 @@
 A hash function pseudo-rotates a vector (three sign-flip/Hadamard rounds) and
 returns the nearest signed basis vector among the first `cp_dim` rotated
 coordinates: 2*argmax|y| + (1 if that coordinate is negative). Only those
-rows of the rotation are ever read, so they are built once per index (three
-Hadamard transforms over a block of unit vectors) and hashing is one matrix
-product, a projection onto them. A projected coordinate with |y| < 1e-12
-counts as exactly 0, which hashes to the + side with margin 0. Per table,
-`hash_bits` function outputs are mixed into one 64-bit bucket key with seeded
-odd multipliers plus a per-table salt, which makes multi-probe a matter of
-O(1) key deltas.
+rows of the rotation are ever read, so they are built once per hash family
+(three Hadamard transforms over a block of unit vectors; see _rotation) and
+hashing is one matrix product, a projection onto them. A projected
+coordinate with |y| < 1e-12 counts as exactly 0, which hashes to the + side
+with margin 0. Per table, `hash_bits` function outputs are mixed into one
+64-bit bucket key with seeded odd multipliers plus a per-table salt, which
+makes multi-probe a matter of O(1) key deltas.
 An index given request times and `max_delay_s` also keys each bucket by its
 slab, floor(t / max_delay_s), with a per-slab salt. A query probes its own
 slab and the two beside it, the only slabs a ride within max_delay_s can
@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import blake2b
 
 import numpy as np
@@ -42,8 +43,6 @@ from .represent import (
     query_vector,
     st_edge_set,
     transform_P_batch,
-    transform_Q,
-    unit_normalize,
 )
 
 _U64 = np.uint64
@@ -128,6 +127,35 @@ def _signs(seed: int, n_fns: int, d: int) -> np.ndarray:
     return rng.integers(0, 2, size=(n_fns, 3, d)).astype(np.float64) * 2.0 - 1.0
 
 
+# Projected values per hashing block (16 MB of float64). It bounds the
+# (rows x functions*cp_dim) product and the top-2 temporaries, and the block
+# of rotation rows built by _rotation.
+_HASH_BLOCK = 2**21
+
+
+def _fn_blocks(n_fns: int, n_rows: int, cp_dim: int):
+    """(first, end) function ranges of at most _HASH_BLOCK values over n_rows rows."""
+    step = max(1, _HASH_BLOCK // (n_rows * cp_dim))
+    return [(f0, min(f0 + step, n_fns)) for f0 in range(0, n_fns, step)]
+
+
+@lru_cache(maxsize=1)
+def _rotation(seed: int, n_fns: int, d: int, dim_in: int, cp_dim: int) -> np.ndarray:
+    """The read-only (dim_in, n_fns*cp_dim) projection of the first n_fns
+    functions under seed over a padded dimension d (see _projection).
+
+    It depends on nothing else, so the last one built is kept and every
+    index of the same hash family shares it; at most one outlives its
+    indexes.
+    """
+    signs = _signs(seed, n_fns, d)
+    proj = np.empty((dim_in, n_fns * cp_dim))
+    for f0, f1 in _fn_blocks(n_fns, d, cp_dim):
+        proj[:, f0 * cp_dim : f1 * cp_dim] = _projection(signs[f0:f1], dim_in, cp_dim)
+    proj.flags.writeable = False
+    return proj
+
+
 def _project_codes(mat: np.ndarray, proj: np.ndarray, cp_dim: int, scale: float):
     """Per row and function: (code, runner-up code, margin), each (n, n_fns).
 
@@ -202,10 +230,6 @@ class LshIndex:
     """
 
     _QUERY_CHUNK = 1024
-    # Projected values per hashing block (16 MB of float64). It bounds the
-    # (rows x functions*cp_dim) product and the top-2 temporaries, and the
-    # block of rotation rows built at construction.
-    _HASH_BLOCK = 2**21
 
     def __init__(
         self,
@@ -225,9 +249,11 @@ class LshIndex:
         must then pass their own request times. Without them the index has
         one slab and no time filter: the index for an infinite max_delay_s.
 
-        The projection `proj` is a (dim, tables*hash_bits*cp_dim) float64
-        matrix: 8*dim*tables*hash_bits*cp_dim bytes, 520 KB for dim 130 and
-        500 functions at cp_dim=1, 133 MB at the full cp_dim of 256.
+        The projection `proj` is a read-only (dim, tables*hash_bits*cp_dim)
+        float64 matrix: 8*dim*tables*hash_bits*cp_dim bytes, 520 KB for dim
+        130 and 500 functions at cp_dim=1, 133 MB at the full cp_dim of 256.
+        Indexes with the same seed, functions, dim and cp_dim share one, and
+        the last one built stays cached after its indexes are gone.
         """
         if len(ids) == 0:
             raise DegenerateInputError("cannot build an index over no vectors")
@@ -265,15 +291,10 @@ class LshIndex:
         if not 1 <= self.cp_dim <= self.d_padded:
             raise ValueError(f"cp_dim must be in [1, {self.d_padded}], got {cp_dim}")
 
-        n_fns = tables * hash_bits
-        signs = _signs(seed, n_fns, self.d_padded)
         rng = np.random.default_rng((seed, 0x52))
         self.mults = rng.integers(1, 2**63, size=(tables, hash_bits), dtype=np.uint64) | _U64(1)
         self.scale = self.d_padded**-1.5
-        self.proj = np.empty((self.dim_in, n_fns * self.cp_dim))
-        for f0, f1 in self._fn_blocks(self.d_padded):
-            cols = slice(f0 * self.cp_dim, f1 * self.cp_dim)
-            self.proj[:, cols] = _projection(signs[f0:f1], self.dim_in, self.cp_dim)
+        self.proj = _rotation(seed, tables * hash_bits, self.d_padded, self.dim_in, self.cp_dim)
 
         codes, _, _ = self._hash_all(self.matrix, want_probes=False)
         n = len(self.ids)
@@ -317,12 +338,6 @@ class LshIndex:
             raise ValueError("request times must be finite")
         return np.floor(times / self.max_delay_s).astype(np.int64)
 
-    def _fn_blocks(self, n_rows: int):
-        """(first, end) function ranges of at most _HASH_BLOCK values over n_rows rows."""
-        n_fns = self.tables * self.hash_bits
-        step = max(1, self._HASH_BLOCK // (n_rows * self.cp_dim))
-        return [(f0, min(f0 + step, n_fns)) for f0 in range(0, n_fns, step)]
-
     def _hash_all(self, mat, want_probes: bool):
         """Hash every row under every (table, function); (n, L, t) arrays."""
         n = mat.shape[0]
@@ -330,7 +345,7 @@ class LshIndex:
         codes = np.empty((n, n_fns), dtype=np.int32)
         alts = np.empty((n, n_fns), dtype=np.int32) if want_probes else None
         margins = np.empty((n, n_fns), dtype=np.float32) if want_probes else None
-        for f0, f1 in self._fn_blocks(n):
+        for f0, f1 in _fn_blocks(n_fns, n, self.cp_dim):
             cols = slice(f0 * self.cp_dim, f1 * self.cp_dim)
             c1, c2, mg = _project_codes(mat, self.proj[:, cols], self.cp_dim, self.scale)
             codes[:, f0:f1] = c1
@@ -426,12 +441,17 @@ class LshIndex:
             query_times = np.asarray(query_times, dtype=np.float64).reshape(-1)
             if len(query_times) != nq:
                 raise ValueError(f"need one query time per query row, got {len(query_times)} for {nq}")
+        if exclude_ids is not None:
+            exclude_ids = np.asarray(exclude_ids, dtype=np.int64)
+            if exclude_ids.shape != (nq,):
+                got = f"{exclude_ids.size} in shape {exclude_ids.shape}"
+                raise ValueError(f"need one exclude id per query row, got {got} for {nq}")
         results: list[list[tuple[int, float]]] = []
         counts = np.empty(nq, dtype=np.int64)
         raws = np.empty(nq, dtype=np.int64)
         for lo in range(0, nq, self._QUERY_CHUNK):
             hi = min(lo + self._QUERY_CHUNK, nq)
-            excl = None if exclude_ids is None else np.asarray(exclude_ids, dtype=np.int64)[lo:hi]
+            excl = None if exclude_ids is None else exclude_ids[lo:hi]
             qt = None if query_times is None else query_times[lo:hi]
             res, cnt, raw = self._query_chunk(qmat[lo:hi], k, probes_per_table, excl, qt)
             results.extend(res)
@@ -606,12 +626,12 @@ def find_potential_matches(
 
     Pipeline: space-time edge sets -> data/query sparse vectors -> feature
     hashing (each distinct edge key hashed once per call) -> global data-norm
-    scaling -> asymmetric transforms -> index build, keyed by request-time
-    slab -> per-ride multi-probe query, ranking only the rides whose request
-    time is within max_delay_s of its own (every ride if max_delay_s is
-    infinite, which needs no slabs). Rides whose route collapses to an
-    empty edge set (or hashes to a zero query) get an empty match list and
-    are flagged in the summary.
+    scaling -> asymmetric transforms (every query row unit-normalized in one
+    pass) -> index build, keyed by request-time slab -> per-ride multi-probe
+    query, ranking only the rides whose request time is within max_delay_s
+    of its own (every ride if max_delay_s is infinite, which needs no
+    slabs). Rides whose route collapses to an empty edge set (or hashes to a
+    zero query) get an empty match list and are flagged in the summary.
     """
     rides = list(rides)
     cfg = cfg or LshConfig()
@@ -657,24 +677,23 @@ def find_potential_matches(
     )
 
     query_order = [r for r in rides if r.id in query_sparse]
-    qrows = []
-    for ride in query_order:
-        qv = feature_hash(query_sparse[ride.id], cfg.dim, fh_seed, fh_memo)
-        try:
-            qrows.append(unit_normalize(qv))
-        except DegenerateInputError:
-            degenerate.append(ride.id)
-            qrows.append(None)
-    live = [i for i, qv in enumerate(qrows) if qv is not None]
-    counts = np.zeros(len(live), dtype=np.int64)
-    raws = np.zeros(len(live), dtype=np.int64)
-    if live:
-        qmat = np.stack([transform_Q(qrows[i], cfg.norm_terms) for i in live])
-        excl = np.array([query_order[i].id for i in live], dtype=np.int64)
-        qtimes = np.array([query_order[i].request_time for i in live], dtype=np.float64) if timed else None
+    qraw = np.stack([feature_hash(query_sparse[r.id], cfg.dim, fh_seed, fh_memo) for r in query_order])
+    # the rows of unit_normalize then transform_Q, bit for bit: query
+    # magnitudes are 1.0, so every entry is an integer and each squared norm
+    # is exact in any summation order
+    norms = np.sqrt(np.square(qraw).sum(axis=1))
+    live = norms > 0.0
+    degenerate += [r.id for r, ok in zip(query_order, live.tolist()) if not ok]
+    live_rides = [r for r, ok in zip(query_order, live.tolist()) if ok]
+    counts = raws = np.zeros(0, dtype=np.int64)
+    if live_rides:
+        qmat = np.zeros((len(live_rides), cfg.dim + cfg.norm_terms))
+        np.divide(qraw[live], norms[live, None], out=qmat[:, : cfg.dim])
+        excl = np.array([r.id for r in live_rides], dtype=np.int64)
+        qtimes = np.array([r.request_time for r in live_rides], dtype=np.float64) if timed else None
         results, counts, raws = index.query_batch(qmat, cfg.k, cfg.probes, exclude_ids=excl, query_times=qtimes)
-        for i, res in zip(live, results):
-            matches[query_order[i].id] = res
+        for ride, res in zip(live_rides, results):
+            matches[ride.id] = res
     summary = MatchSearchSummary(
         n_rides=len(rides),
         degenerate_ids=sorted(degenerate),

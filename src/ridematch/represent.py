@@ -76,8 +76,10 @@ def st_edge_set(
     if time_interval_s <= 0:
         raise ValueError(f"interval must be positive, got {time_interval_s}")
     # one pass: arrival times are the running sum from request_time, and a
-    # point's bucket is time_bucket's floor(t / interval)
+    # point's bucket is floor(t / interval), counted from t = 0
     floor = math.floor
+    # SpaceTimeEdge's own __new__ is a Python call; tuple's builds the same
+    new_edge = tuple.__new__
     p = points[0]
     cell = _cell_of(p.lat, p.lon, space_precision)
     bucket = floor(request_time / time_interval_s)
@@ -92,7 +94,7 @@ def st_edge_set(
         if to_cell == cell and to_bucket == bucket:
             continue
         if accum > 0.0:
-            edge = SpaceTimeEdge(cell, bucket, to_cell, to_bucket)
+            edge = new_edge(SpaceTimeEdge, (cell, bucket, to_cell, to_bucket))
             edges[edge] = edges.get(edge, 0.0) + accum
         cell, bucket, accum = to_cell, to_bucket, 0.0
     return edges
@@ -122,17 +124,42 @@ def _key_bytes(key) -> bytes:
     return repr(key).encode()
 
 
-# Bound of the process-wide (index, sign) slot cache. It is keyed by the
+# Bound of each process-wide (index, sign) slot cache. _slot is keyed by the
 # exact bytes a key hashes, so keys that compare equal but hash different
 # bytes (a SpaceTimeEdge and the plain tuple of its fields, True and 1)
-# never share a slot.
+# never share a slot. _edge_slot is keyed by the edge itself, which skips
+# its repr; it takes only exactly typed edges (see _slot_of), and two of
+# those are equal only if their reprs are.
 _SLOT_CACHE_SIZE = 1 << 16
+
+
+def _hash_slot(data: bytes, d: int, skey: bytes) -> tuple[int, float]:
+    h = int.from_bytes(blake2b(data, digest_size=8, key=skey).digest(), "big")
+    return (h >> 1) % d, 1.0 - 2.0 * (h & 1)
 
 
 @lru_cache(maxsize=_SLOT_CACHE_SIZE)
 def _slot(data: bytes, d: int, skey: bytes) -> tuple[int, float]:
-    h = int.from_bytes(blake2b(data, digest_size=8, key=skey).digest(), "big")
-    return (h >> 1) % d, 1.0 - 2.0 * (h & 1)
+    return _hash_slot(data, d, skey)
+
+
+@lru_cache(maxsize=_SLOT_CACHE_SIZE)
+def _edge_slot(edge: SpaceTimeEdge, d: int, skey: bytes) -> tuple[int, float]:
+    return _hash_slot(repr(edge).encode(), d, skey)
+
+
+def _slot_of(key, d: int, skey: bytes) -> tuple[int, float]:
+    """A key's (index, sign): by the edge for a SpaceTimeEdge of two str
+    cells and two int buckets, by its bytes for every other key."""
+    if (
+        type(key) is SpaceTimeEdge
+        and type(key[0]) is str
+        and type(key[1]) is int
+        and type(key[2]) is str
+        and type(key[3]) is int
+    ):
+        return _edge_slot(key, d, skey)
+    return _slot(_key_bytes(key), d, skey)
 
 
 def feature_hash(v: SparseVector, d: int, seed: int = 0, memo: dict | None = None) -> np.ndarray:
@@ -141,21 +168,23 @@ def feature_hash(v: SparseVector, d: int, seed: int = 0, memo: dict | None = Non
     Each key is mapped by a seeded hash to an (index, sign) pair and
     magnitudes accumulate, so inner products are unbiased over seeds.
     memo, a dict from key to (index, sign), lets calls with the same d and
-    seed skip each key's repr after its first. Its keys must not mix types
-    whose values compare equal: a SpaceTimeEdge equals the plain tuple of its
-    fields, but the two hash by their different reprs.
+    seed skip each key's slot lookup after its first. Its keys must not mix
+    types whose values compare equal: a SpaceTimeEdge equals the plain tuple
+    of its fields, but the two hash by their different reprs.
     """
     if d < 2 or d & (d - 1):
         raise ValueError(f"d must be a power of two >= 2, got {d}")
-    out = np.zeros(d)
+    # float64 adds in a list, in key order; float(mag) keeps a numpy
+    # float32 magnitude from making the sum float32 (NEP 50)
+    out = [0.0] * d
     skey = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     slots = {} if memo is None else memo
     for key, mag in v.items():
         slot = slots.get(key)
         if slot is None:
-            slot = slots[key] = _slot(_key_bytes(key), d, skey)
-        out[slot[0]] += slot[1] * mag
-    return out
+            slot = slots[key] = _slot_of(key, d, skey)
+        out[slot[0]] += slot[1] * float(mag)
+    return np.array(out)
 
 
 def normalize_dataset(vectors, max_norm: float = DEFAULT_MAX_NORM):

@@ -10,7 +10,6 @@ from ridematch.geo import (
     geohash_encode,
     haversine_km,
     haversine_km_arrays,
-    time_bucket,
 )
 
 
@@ -126,18 +125,3 @@ class TestGeohash:
         with pytest.raises(ValueError):
             geohash_encode(p, 13)
 
-
-class TestTimeBucket:
-    def test_examples(self):
-        assert time_bucket(0, 1200) == 0
-        assert time_bucket(1200, 1200) == 1
-        assert time_bucket(1199, 1200) == 0
-
-    def test_negative_times_floor(self):
-        assert time_bucket(-1, 1200) == -1
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            time_bucket(0, 0)
-        with pytest.raises(ValueError):
-            time_bucket(0, -5)

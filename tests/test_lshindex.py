@@ -9,17 +9,28 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridematch.represent import DegenerateInputError
+from ridematch.represent import (
+    DegenerateInputError,
+    feature_hash,
+    query_vector,
+    st_edge_set,
+    transform_Q,
+    unit_normalize,
+)
 from ridematch.lshindex import (
     LshConfig,
     LshIndex,
+    _child_seed,
     _project_codes,
+    _projection,
+    _rotation,
     _signs,
     _top2_abs,
     find_potential_matches,
     query,
     suggest_params,
 )
+from ridematch.roadnet import Route
 from ridematch.trips import synth_commute
 from ridematch.utility import pairwise_utilities
 
@@ -229,6 +240,26 @@ class TestProjectionHash:
             for g, w in zip(got, want):
                 assert np.array_equal(g[:, 0, 0], w[:, 0, 0])
 
+    def test_rotation_is_shared_read_only_and_rebuilt_per_family(self, rng):
+        # the cache holds one projection; after an index of another seed,
+        # cp_dim, function count or dim, each still equals a fresh build
+        x = rng.normal(size=(20, 40))
+
+        def fresh(idx):
+            return _projection(_signs(idx.seed, idx.tables * idx.hash_bits, idx.d_padded), idx.dim_in, idx.cp_dim)
+
+        kw = dict(tables=2, hash_bits=3, seed=1, cp_dim=2)
+        base = LshIndex(np.arange(20), x, **kw)
+        assert LshIndex(np.arange(20), x, **kw).proj is base.proj
+        for mat, change in ((x, {"seed": 2}), (x, {"cp_dim": 4}), (x, {"tables": 3}), (x[:, :36], {}), (x[:, :30], {})):
+            other = LshIndex(np.arange(20), mat, **{**kw, **change})
+            assert np.array_equal(other.proj, fresh(other))
+            assert np.array_equal(base.proj, fresh(base))
+            assert not other.proj.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            base.proj[0, 0] = 0.0
+        assert _rotation.cache_info().maxsize == 1
+
     def test_hashing_memory_bounded(self, rng):
         x = _unit_rows(rng, 1024, 66)
         idx = LshIndex(np.arange(1024), x, tables=16, hash_bits=10, seed=1)
@@ -428,6 +459,13 @@ class TestQuery:
         idx = LshIndex(np.arange(len(rows)), rows, tables=2, hash_bits=2, seed=0)
         with pytest.raises(ValueError):
             query(idx, np.zeros(8), k=2)
+
+    def test_exclude_ids_need_one_per_query_row(self, rng):
+        rows = _unit_rows(rng, 20, 8)
+        idx = LshIndex(np.arange(20), rows, tables=2, hash_bits=2, seed=0)
+        for excl, got in ((np.arange(7), 7), (np.arange(2), 2), (np.arange(5)[:, None], 5)):
+            with pytest.raises(ValueError, match=rf"one exclude id per query row.* got {got} .* for 5$"):
+                idx.query_batch(rows[:5], k=3, exclude_ids=excl)
 
     def test_batch_matches_single(self, rng):
         rows = _unit_rows(rng, 60, 16)
@@ -664,6 +702,36 @@ class TestFindPotentialMatches:
         assert set(memo) == set().union(*(c[0] for c in calls))
         for v, d, seed, _, out in calls:
             assert out.tobytes() == feature_hash(v, d, seed).tobytes()
+
+    def test_query_rows_are_the_unit_normalized_rows(self, city21):
+        # every query row equals transform_Q(unit_normalize(...)) of its own
+        # ride bit for bit; a ride whose two query entries cancel in one slot
+        # is flagged instead, while its data row (30 s against 45 s) is not zero
+        w = synth_commute(city21, 40, seed=17, alternates=2)
+        assert any(len(r.routes) == 2 for r in w.rides)
+        cfg = LshConfig(tables=4, hash_bits=4, dim=8, seed=5)
+        fh_seed = _child_seed(cfg.seed, "feature-hash")
+        ride0 = w.rides[0]
+        spots = [r.pickup for r in w.rides] + [r.dropoff for r in w.rides]
+        for a, b, c in zip(spots, spots[1:], spots[2:]):
+            route = Route(points=[a, b, c], segment_durations=[30.0, 45.0], total_duration=75.0)
+            edges = st_edge_set(route, ride0.request_time)
+            if len(edges) == 2 and not np.any(feature_hash(query_vector(edges), cfg.dim, fh_seed)):
+                break
+        else:
+            pytest.fail("no cancelling route among the pool's endpoints")
+        zero = dataclasses.replace(ride0, id=888, routes=[route], cost=75.0)
+        rides = w.rides + [zero]
+        with mock.patch.object(LshIndex, "query_batch", autospec=True, side_effect=LshIndex.query_batch) as spy:
+            matches, summary = find_potential_matches(rides, cfg)
+        (_, qmat, _, _), kw = spy.call_args
+        excl = kw["exclude_ids"].tolist()
+        assert excl == [r.id for r in w.rides]
+        assert summary.degenerate_ids == [888] and matches[888] == []
+        for row, ride in zip(qmat, w.rides):
+            v = query_vector(st_edge_set(ride.routes[0], ride.request_time))
+            want = transform_Q(unit_normalize(feature_hash(v, cfg.dim, fh_seed)), cfg.norm_terms)
+            assert row.tobytes() == want.tobytes()
 
     def test_degenerate_ride_flagged(self, city21):
         import dataclasses

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridematch import represent
-from ridematch.geo import GeoPoint, geohash_encode, time_bucket
+from ridematch.geo import GeoPoint, geohash_encode
 from ridematch.represent import (
     DegenerateInputError,
     SpaceTimeEdge,
@@ -35,7 +35,7 @@ def _reference_st_edge_set(route, request_time, space_precision, time_interval_s
     for d in route.segment_durations:
         arrivals.append(arrivals[-1] + d)
     nodes = [
-        (geohash_encode(p, space_precision), time_bucket(t, time_interval_s))
+        (geohash_encode(p, space_precision), math.floor(t / time_interval_s))
         for p, t in zip(route.points, arrivals)
     ]
     edges = {}
@@ -236,25 +236,40 @@ class TestFeatureHash:
     @settings(max_examples=200, deadline=None)
     @given(
         keys=st.lists(st.text(max_size=3) | st.integers(-5, 5), max_size=30),
-        mags=st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300]) | st.floats(-1e3, 1e3), max_size=30),
+        mags=st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e300])
+            | st.floats(-1e3, 1e3)
+            | st.floats(-1e3, 1e3, width=32).map(np.float32)
+            | st.floats(-1e3, 1e3).map(np.float64),
+            max_size=30,
+        ),
         d=st.sampled_from([2, 4, 64]),
         seed=st.integers(0, 2**70),
     )
     def test_matches_reference(self, keys, mags, d, seed):
-        # small d: many keys share a slot, so the summation order shows
+        # small d: many keys share a slot, so the summation order shows; a
+        # float32 magnitude must still be summed in float64
         v = dict(zip(keys, mags))
         want = _reference_feature_hash(v, d, seed).tobytes()
         assert feature_hash(v, d, seed).tobytes() == want
         assert feature_hash(v, d, seed, {}).tobytes() == want
 
     @pytest.mark.parametrize(
-        "a, b", [(SpaceTimeEdge("c0", 1, "c1", 2), ("c0", 1, "c1", 2)), (True, 1), (("x", False), ("x", 0))]
+        "a, b",
+        [
+            (SpaceTimeEdge("c0", 1, "c1", 2), ("c0", 1, "c1", 2)),
+            (SpaceTimeEdge("c0", 1, "c1", 2), SpaceTimeEdge("c0", 1.0, "c1", 2)),
+            (SpaceTimeEdge("c0", 1, "c1", 2), SpaceTimeEdge("c0", True, "c1", 2)),
+            (True, 1),
+            (("x", False), ("x", 0)),
+        ],
     )
     def test_equal_keys_of_other_bytes_get_their_own_slot(self, a, b):
         assert a == b and repr(a) != repr(b)
         assert not np.array_equal(_reference_feature_hash({a: 2.0}, 1024, 11), _reference_feature_hash({b: 2.0}, 1024, 11))
         for first, second in ((a, b), (b, a)):
             represent._slot.cache_clear()
+            represent._edge_slot.cache_clear()
             for key in (first, second, first, second):  # cold, then warm
                 for d, seed in ((8, 3), (1024, 11)):
                     want = _reference_feature_hash({key: 2.0}, d, seed)
@@ -262,6 +277,9 @@ class TestFeatureHash:
 
     def test_slot_cache_bound(self):
         assert represent._slot.cache_info().maxsize == represent._SLOT_CACHE_SIZE == 1 << 16
+
+    def test_edge_slot_cache_bound(self):
+        assert represent._edge_slot.cache_info().maxsize == represent._SLOT_CACHE_SIZE
 
     def test_non_power_of_two_rejected(self):
         for d in (0, 1, 3, 48):
