@@ -707,9 +707,11 @@ class TestFindPotentialMatches:
         # every query row equals transform_Q(unit_normalize(...)) of its own
         # ride bit for bit; a ride whose two query entries cancel in one slot
         # is flagged instead, while its data row (30 s against 45 s) is not zero
-        w = synth_commute(city21, 40, seed=17, alternates=2)
+        # 80 rides in 16 dimensions: some rows' x / norm differs from
+        # x * (1 / norm) in the last bit
+        w = synth_commute(city21, 80, seed=17, alternates=2)
         assert any(len(r.routes) == 2 for r in w.rides)
-        cfg = LshConfig(tables=4, hash_bits=4, dim=8, seed=5)
+        cfg = LshConfig(tables=4, hash_bits=4, dim=16, seed=5)
         fh_seed = _child_seed(cfg.seed, "feature-hash")
         ride0 = w.rides[0]
         spots = [r.pickup for r in w.rides] + [r.dropoff for r in w.rides]
