@@ -124,33 +124,24 @@ def _key_bytes(key) -> bytes:
     return repr(key).encode()
 
 
-# Bound of each process-wide (index, sign) slot cache. _slot is keyed by the
-# exact bytes a key hashes, so keys that compare equal but hash different
-# bytes (a SpaceTimeEdge and the plain tuple of its fields, True and 1)
-# never share a slot. _edge_slot is keyed by the edge itself, which skips
-# its repr; it takes only exactly typed edges (see _slot_of), and two of
-# those are equal only if their reprs are.
+# Bound of the process-wide (index, sign) slot cache. _slot takes either
+# the exact bytes a key hashes or an exactly typed SpaceTimeEdge (see
+# _slot_of), which skips the edge's repr on a hit. Keys that compare equal
+# but hash different bytes (a SpaceTimeEdge and the plain tuple of its
+# fields, True and 1) never share an entry: bytes never equal an edge, and
+# two exactly typed edges are equal only if their reprs are.
 _SLOT_CACHE_SIZE = 1 << 16
 
 
-def _hash_slot(data: bytes, d: int, skey: bytes) -> tuple[int, float]:
-    h = int.from_bytes(blake2b(data, digest_size=8, key=skey).digest(), "big")
+@lru_cache(maxsize=_SLOT_CACHE_SIZE)
+def _slot(key, d: int, skey: bytes) -> tuple[int, float]:
+    h = int.from_bytes(blake2b(_key_bytes(key), digest_size=8, key=skey).digest(), "big")
     return (h >> 1) % d, 1.0 - 2.0 * (h & 1)
 
 
-@lru_cache(maxsize=_SLOT_CACHE_SIZE)
-def _slot(data: bytes, d: int, skey: bytes) -> tuple[int, float]:
-    return _hash_slot(data, d, skey)
-
-
-@lru_cache(maxsize=_SLOT_CACHE_SIZE)
-def _edge_slot(edge: SpaceTimeEdge, d: int, skey: bytes) -> tuple[int, float]:
-    return _hash_slot(repr(edge).encode(), d, skey)
-
-
 def _slot_of(key, d: int, skey: bytes) -> tuple[int, float]:
-    """A key's (index, sign): by the edge for a SpaceTimeEdge of two str
-    cells and two int buckets, by its bytes for every other key."""
+    """A key's (index, sign), cached by the edge for a SpaceTimeEdge of two
+    str cells and two int buckets, by its bytes for every other key."""
     if (
         type(key) is SpaceTimeEdge
         and type(key[0]) is str
@@ -158,7 +149,7 @@ def _slot_of(key, d: int, skey: bytes) -> tuple[int, float]:
         and type(key[2]) is str
         and type(key[3]) is int
     ):
-        return _edge_slot(key, d, skey)
+        return _slot(key, d, skey)
     return _slot(_key_bytes(key), d, skey)
 
 
@@ -174,17 +165,15 @@ def feature_hash(v: SparseVector, d: int, seed: int = 0, memo: dict | None = Non
     """
     if d < 2 or d & (d - 1):
         raise ValueError(f"d must be a power of two >= 2, got {d}")
-    # float64 adds in a list, in key order; float(mag) keeps a numpy
-    # float32 magnitude from making the sum float32 (NEP 50)
-    out = [0.0] * d
+    out = np.zeros(d)
     skey = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     slots = {} if memo is None else memo
     for key, mag in v.items():
         slot = slots.get(key)
         if slot is None:
             slot = slots[key] = _slot_of(key, d, skey)
-        out[slot[0]] += slot[1] * float(mag)
-    return np.array(out)
+        out[slot[0]] += slot[1] * mag
+    return out
 
 
 def normalize_dataset(vectors, max_norm: float = DEFAULT_MAX_NORM):

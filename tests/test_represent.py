@@ -269,7 +269,6 @@ class TestFeatureHash:
         assert not np.array_equal(_reference_feature_hash({a: 2.0}, 1024, 11), _reference_feature_hash({b: 2.0}, 1024, 11))
         for first, second in ((a, b), (b, a)):
             represent._slot.cache_clear()
-            represent._edge_slot.cache_clear()
             for key in (first, second, first, second):  # cold, then warm
                 for d, seed in ((8, 3), (1024, 11)):
                     want = _reference_feature_hash({key: 2.0}, d, seed)
@@ -277,9 +276,6 @@ class TestFeatureHash:
 
     def test_slot_cache_bound(self):
         assert represent._slot.cache_info().maxsize == represent._SLOT_CACHE_SIZE == 1 << 16
-
-    def test_edge_slot_cache_bound(self):
-        assert represent._edge_slot.cache_info().maxsize == represent._SLOT_CACHE_SIZE
 
     def test_non_power_of_two_rejected(self):
         for d in (0, 1, 3, 48):
