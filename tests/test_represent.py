@@ -260,6 +260,8 @@ class TestFeatureHash:
             (SpaceTimeEdge("c0", 1, "c1", 2), ("c0", 1, "c1", 2)),
             (SpaceTimeEdge("c0", 1, "c1", 2), SpaceTimeEdge("c0", 1.0, "c1", 2)),
             (SpaceTimeEdge("c0", 1, "c1", 2), SpaceTimeEdge("c0", True, "c1", 2)),
+            (SpaceTimeEdge("c0", 1, "c1", 2), SpaceTimeEdge("c0", 1, "c1", 2.0)),
+            (SpaceTimeEdge("c0", 1, "c1", 1), SpaceTimeEdge("c0", 1, "c1", True)),
             (True, 1),
             (("x", False), ("x", 0)),
         ],
