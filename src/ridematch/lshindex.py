@@ -132,6 +132,13 @@ def _signs(seed: int, n_fns: int, d: int) -> np.ndarray:
 # of rotation rows built by _rotation.
 _HASH_BLOCK = 2**21
 
+# Probe keys per query chunk of LshIndex.query_batch. A query has tables *
+# probes keys, three times that given request times (one per probed slab),
+# and every array of a chunk grows with them: the hash codes, the keys and
+# their buckets, and the entries retrieved. It bounds a chunk's working set
+# whatever the index's tables and the caller's probes.
+_PROBE_KEYS = 2**16
+
 
 def _fn_blocks(n_fns: int, n_rows: int, cp_dim: int):
     """(first, end) function ranges of at most _HASH_BLOCK values over n_rows rows."""
@@ -156,8 +163,9 @@ def _rotation(seed: int, n_fns: int, d: int, dim_in: int, cp_dim: int) -> np.nda
     return proj
 
 
-def _project_codes(mat: np.ndarray, proj: np.ndarray, cp_dim: int, scale: float):
-    """Per row and function: (code, runner-up code, margin), each (n, n_fns).
+def _project_codes(mat: np.ndarray, proj: np.ndarray, cp_dim: int, scale: float, want_probes: bool = True):
+    """Per row and function: (code, runner-up code, margin), each (n, n_fns);
+    the last two are None unless want_probes.
 
     proj holds cp_dim projection columns per function (see _projection).
     The argmax is restricted to those cp_dim rotated coordinates: cp_dim
@@ -168,12 +176,24 @@ def _project_codes(mat: np.ndarray, proj: np.ndarray, cp_dim: int, scale: float)
     n = mat.shape[0]
     y = mat @ proj
     y *= scale
-    y[np.abs(y) < _ZERO_TOL] = 0.0
     if cp_dim == 1:
-        codes = (y < 0).astype(np.int64)
-        return codes, 1 - codes, np.abs(y)
+        # |y| < _ZERO_TOL counts as 0, the + side, so the code is one comparison
+        codes = (y <= -_ZERO_TOL).view(np.uint8)
+        if not want_probes:
+            return codes, None, None
+        margins = np.abs(y, out=y)
+        margins[margins < _ZERO_TOL] = 0.0
+        return codes, codes ^ 1, margins
+    y[np.abs(y) < _ZERO_TOL] = 0.0
     c1, c2, margin = _top2_abs(y.reshape(-1, cp_dim))
     return c1.reshape(n, -1), c2.reshape(n, -1), margin.reshape(n, -1)
+
+
+def _mix(codes: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """(n, tables) mixed bucket keys, sum of codes * mults mod 2**64, of
+    (n, tables, hash_bits) unsigned codes; einsum casts the codes to uint64
+    a buffer at a time, so no (n, tables, hash_bits) uint64 array is made."""
+    return np.einsum("nlt,lt->nl", codes, mults)
 
 
 def suggest_params(n: int, k: int, failure_prob: float, rho_estimate: float) -> tuple[int, int]:
@@ -227,9 +247,17 @@ class LshIndex:
     in one sorted array, and each bucket's start and length in one array of
     entries. So one searchsorted probes every table and slab, rather than
     per-bucket dicts.
-    """
 
-    _QUERY_CHUNK = 1024
+    Memory: query_batch works in chunks of at most _PROBE_KEYS (2**16) probe
+    keys, tables * probes per query and three times that given request
+    times (273 queries at 20 tables, 4 probes and request times), so its
+    working set does not grow with the batch. Traced peaks (tracemalloc,
+    66-wide unit rows, 20 tables of 8 bits, cp_dim 1): 2.6 MB to build over
+    1200 rows, 11 MB for 1024 queries without request times (about 440k
+    raw candidates). Over 4000 rows with 292 tables of 12 bits and request
+    times, 1024 queries peak at 3 MB and the build at 118 MB, most of it the
+    sort of the (tables * rows) salted keys.
+    """
 
     def __init__(
         self,
@@ -265,6 +293,8 @@ class LshIndex:
             raise ValueError(f"need one id per row, got {len(ids)} ids for {len(matrix)} rows")
         if (request_times is None) != (max_delay_s is None):
             raise ValueError("request_times and max_delay_s go together: give both or neither")
+        if not np.isfinite(matrix).all():
+            raise ValueError("cannot index non-finite vectors (NaN or inf)")
         by_ride = np.argsort(ids, kind="stable")
         self.ids = ids[by_ride]
         self.matrix = np.ascontiguousarray(matrix[by_ride])
@@ -297,6 +327,8 @@ class LshIndex:
         self.proj = _rotation(seed, tables * hash_bits, self.d_padded, self.dim_in, self.cp_dim)
 
         codes, _, _ = self._hash_all(self.matrix, want_probes=False)
+        mixed = _mix(codes, self.mults).T
+        del codes
         n = len(self.ids)
         # One sorted array of every (table, slab)'s buckets. A bucket key is
         # the mixed codes plus its table's salt plus its slab's salt, so one
@@ -306,7 +338,6 @@ class LshIndex:
         # Bucket b holds the entries _entries[_bucket_starts[b]:][:_bucket_lens[b]].
         # _slabs holds the slabs present, ascending, and slab indices point
         # into it. Without request times there is one slab, 0, with salt 0.
-        mixed = (codes.astype(np.uint64) * self.mults).sum(axis=2, dtype=np.uint64).T
         self._slabs, entry_slab = np.unique(slab, return_inverse=True)
         salt_rng = np.random.default_rng((seed, 0x53))
         while True:
@@ -339,15 +370,19 @@ class LshIndex:
         return np.floor(times / self.max_delay_s).astype(np.int64)
 
     def _hash_all(self, mat, want_probes: bool):
-        """Hash every row under every (table, function); (n, L, t) arrays."""
+        """Hash every row under every (table, function); (n, L, t) arrays.
+
+        Codes take the smallest unsigned type that holds the 2*cp_dim
+        outcomes (uint8 up to cp_dim 128) and margins float32; the runner-up
+        codes and margins are None unless want_probes."""
         n = mat.shape[0]
         n_fns = self.tables * self.hash_bits
-        codes = np.empty((n, n_fns), dtype=np.int32)
-        alts = np.empty((n, n_fns), dtype=np.int32) if want_probes else None
+        codes = np.empty((n, n_fns), dtype=np.min_scalar_type(2 * self.cp_dim - 1))
+        alts = np.empty_like(codes) if want_probes else None
         margins = np.empty((n, n_fns), dtype=np.float32) if want_probes else None
         for f0, f1 in _fn_blocks(n_fns, n, self.cp_dim):
             cols = slice(f0 * self.cp_dim, f1 * self.cp_dim)
-            c1, c2, mg = _project_codes(mat, self.proj[:, cols], self.cp_dim, self.scale)
+            c1, c2, mg = _project_codes(mat, self.proj[:, cols], self.cp_dim, self.scale, want_probes)
             codes[:, f0:f1] = c1
             if want_probes:
                 alts[:, f0:f1] = c2
@@ -433,6 +468,10 @@ class LshIndex:
         if k < 1 or probes_per_table < 1:
             raise ValueError("k and probes_per_table must be >= 1")
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
+        if qmat.ndim != 2 or qmat.shape[1] != self.dim_in:
+            raise ValueError(f"need query rows of width {self.dim_in}, got shape {qmat.shape}")
+        if not np.isfinite(qmat).all():
+            raise ValueError("cannot query with non-finite vectors (NaN or inf)")
         nq = qmat.shape[0]
         if (query_times is None) != (self._times is None):
             need = "needs query_times" if query_times is None else "was built without request times"
@@ -449,8 +488,9 @@ class LshIndex:
         results: list[list[tuple[int, float]]] = []
         counts = np.empty(nq, dtype=np.int64)
         raws = np.empty(nq, dtype=np.int64)
-        for lo in range(0, nq, self._QUERY_CHUNK):
-            hi = min(lo + self._QUERY_CHUNK, nq)
+        step = self._chunk_queries(probes_per_table)
+        for lo in range(0, nq, step):
+            hi = min(lo + step, nq)
             excl = None if exclude_ids is None else exclude_ids[lo:hi]
             qt = None if query_times is None else query_times[lo:hi]
             res, cnt, raw = self._query_chunk(qmat[lo:hi], k, probes_per_table, excl, qt)
@@ -458,6 +498,12 @@ class LshIndex:
             counts[lo:hi] = cnt
             raws[lo:hi] = raw
         return results, counts, raws
+
+    def _chunk_queries(self, probes: int) -> int:
+        """Queries per chunk of query_batch: as many as have _PROBE_KEYS
+        probe keys, at least one."""
+        slabs = 1 if self._times is None else 3
+        return max(1, _PROBE_KEYS // (self.tables * probes * slabs))
 
     def _candidates(self, qmat, probes, qtimes):
         """Every (query row, entry) retrieved within the window, repeats included.
@@ -471,15 +517,19 @@ class LshIndex:
         """
         nq = qmat.shape[0]
         codes, alts, margins = self._hash_all(qmat, want_probes=True)
-        v = codes.astype(np.uint64) * self.mults
-        deltas = alts.astype(np.uint64) * self.mults - v
+        base = _mix(codes, self.mults)
+        base += self._salts
+        # a runner-up's key delta, (alt - code) * mult, wraps mod 2**64 as the mix does
+        deltas = alts.astype(np.uint64)
+        del alts
+        deltas -= codes
+        del codes
+        deltas *= self.mults
         rows = nq * self.tables
         pkeys, pvalid = self._probe_keys(
-            (v.sum(axis=2, dtype=np.uint64) + self._salts).reshape(rows),
-            deltas.reshape(rows, self.hash_bits),
-            margins.reshape(rows, self.hash_bits),
-            probes,
+            base.reshape(rows), deltas.reshape(rows, self.hash_bits), margins.reshape(rows, self.hash_bits), probes
         )
+        del base, deltas, margins
         pkeys = pkeys.reshape(nq, self.tables, -1)
         pvalid = pvalid.reshape(pkeys.shape)
         row_q = slab = None
@@ -488,16 +538,23 @@ class LshIndex:
             row_q, slab = self._probe_slabs(qtimes)
             pkeys = pkeys[row_q] + self._slab_salts[slab][:, None, None]
             pvalid = pvalid[row_q]
+        cells = self.tables * pkeys.shape[2]  # (table, probe) cells per row; there may be no rows
         bucket, hit = self._find_buckets(pkeys, slab)
+        del pkeys, slab
         hit &= pvalid
+        del pvalid
         hits = hit.ravel().nonzero()[0]
-        hit_q = hits // pkeys[0].size  # (table, probe) cells per row
+        del hit
+        hit_q = hits // cells
         if row_q is not None:
             hit_q = row_q[hit_q]
         bucket = bucket.take(hits)
+        del hits
         lens = self._bucket_lens[bucket]
         entries = self._entries[_concat_ranges(self._bucket_starts[bucket], lens)]
+        del bucket
         q = np.repeat(hit_q, lens)
+        del hit_q, lens
         raw = np.bincount(q, minlength=nq)
         if qtimes is not None:
             # the rule of utility._evaluate: a pair is shareable iff |dt| <= max_delay_s

@@ -49,8 +49,9 @@ class SingleSlabIndex(LshIndex):
         qmat = np.atleast_2d(np.asarray(qmat, dtype=np.float64))
         nq = qmat.shape[0]
         results, counts, raws = [], np.empty(nq, dtype=np.int64), np.empty(nq, dtype=np.int64)
-        for lo in range(0, nq, self._QUERY_CHUNK):
-            hi = min(lo + self._QUERY_CHUNK, nq)
+        step = self._chunk_queries(probes_per_table)
+        for lo in range(0, nq, step):
+            hi = min(lo + step, nq)
             excl = None if exclude_ids is None else np.asarray(exclude_ids, dtype=np.int64)[lo:hi]
             res, counts[lo:hi], raws[lo:hi] = self._single_slab_chunk(qmat[lo:hi], k, probes_per_table, excl)
             results.extend(res)
@@ -148,8 +149,8 @@ def test_query_batch_and_query_are_bit_identical(search_pool):
     ids, pmat, pool_queries, arrivals = search_pool
     new = LshIndex(ids, pmat, TABLES, HASH_BITS, seed=INDEX_SEED, cp_dim=1)
     old = SingleSlabIndex(ids, pmat, TABLES, HASH_BITS, seed=INDEX_SEED, cp_dim=1)
-    # the pool's own rows, over LshIndex._QUERY_CHUNK, so in two chunks
-    assert len(pool_queries) > LshIndex._QUERY_CHUNK
+    # the pool's own rows, over one chunk, so in two chunks
+    assert len(pool_queries) > new._chunk_queries(PROBES)
     got = new.query_batch(pool_queries, K, PROBES, exclude_ids=ids)
     want = old.query_batch(pool_queries, K, PROBES, exclude_ids=ids)
     assert got[0] == want[0]

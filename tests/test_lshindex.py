@@ -386,6 +386,26 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             LshIndex([0], np.zeros((1, 8)), tables=2, hash_bits=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, rng, bad):
+        rows = _unit_rows(rng, 6, 8)
+        rows[4, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            LshIndex(np.arange(6), rows, tables=2, hash_bits=2)
+
+    def test_build_memory_bounded(self, rng):
+        # codes are one uint8 comparison and bucket keys are mixed without
+        # (rows x functions) uint64 temporaries; the (rows x functions)
+        # float64 projection is the largest array
+        x = _unit_rows(rng, 1200, 66)
+        tracemalloc.start()
+        try:
+            LshIndex(np.arange(1200), x, tables=20, hash_bits=8, seed=3, cp_dim=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     @pytest.mark.parametrize("n_ids", [2, 4])
     def test_one_id_per_row_required(self, n_ids):
         with pytest.raises(ValueError, match=f"got {n_ids} ids for 3 rows"):
@@ -459,6 +479,26 @@ class TestQuery:
         idx = LshIndex(np.arange(len(rows)), rows, tables=2, hash_bits=2, seed=0)
         with pytest.raises(ValueError):
             query(idx, np.zeros(8), k=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, rng, bad):
+        rows = _unit_rows(rng, 5, 8)
+        idx = LshIndex(np.arange(len(rows)), rows, tables=2, hash_bits=2, seed=0)
+        q = rows[:3].copy()
+        q[1, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            idx.query_batch(q, k=2)
+        with pytest.raises(ValueError, match="non-finite"):
+            query(idx, q[1], k=2)
+
+    @pytest.mark.parametrize("width", [7, 9])
+    def test_query_of_another_width_rejected(self, rng, width):
+        rows = _unit_rows(rng, 5, 8)
+        idx = LshIndex(np.arange(len(rows)), rows, tables=2, hash_bits=2, seed=0)
+        with pytest.raises(ValueError, match=rf"width 8, got shape \(3, {width}\)"):
+            idx.query_batch(_unit_rows(rng, 3, width), k=2)
+        with pytest.raises(ValueError, match="width 8"):
+            query(idx, _unit_rows(rng, 1, width)[0], k=2)
 
     def test_exclude_ids_need_one_per_query_row(self, rng):
         rows = _unit_rows(rng, 20, 8)
@@ -574,8 +614,8 @@ class TestRanking:
         ids = np.repeat(np.arange(300), 2)
         rows = _unit_rows(rng, 600, 10)
         rows[1::4] = rows[0::4]  # both routes of every other ride tie
-        idx = LshIndex(ids, rows, tables=6, hash_bits=3, seed=2)
-        nq = LshIndex._QUERY_CHUNK + 77
+        idx = LshIndex(ids, rows, tables=20, hash_bits=3, seed=2)
+        nq = idx._chunk_queries(3) + 77
         qmat = _unit_rows(rng, nq, 10)
         excl = rng.integers(0, 300, size=nq)
         got = idx.query_batch(qmat, 12, 3, exclude_ids=excl)
@@ -615,8 +655,8 @@ class TestRanking:
 
     def test_ranking_memory_bounded(self, rng):
         # One query's candidate rows are gathered at a time, so the peak is
-        # the chunk's pair arrays (about 440k raw pairs here), not
-        # (pairs x dim) row blocks.
+        # a chunk's pair arrays (about 440k raw pairs over the two chunks
+        # here), not (pairs x dim) row blocks.
         idx = LshIndex(np.arange(1200), _unit_rows(rng, 1200, 66), tables=20, hash_bits=8, seed=3, cp_dim=1)
         qmat = _unit_rows(rng, 1024, 66)
         tracemalloc.start()
@@ -626,7 +666,31 @@ class TestRanking:
         finally:
             tracemalloc.stop()
         assert raw.sum() > 400_000
-        assert peak < 24 * 2**20
+        assert peak < 14 * 2**20
+
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_ranking_memory_does_not_grow_with_chunks(self, rng, timed):
+        # the same chunk of queries four times over: past the results kept,
+        # four chunks peak no higher than one
+        times = np.zeros(1200) if timed else None
+        idx = LshIndex(
+            np.arange(1200), _unit_rows(rng, 1200, 66), tables=20, hash_bits=8, seed=3, cp_dim=1,
+            request_times=times, max_delay_s=600.0 if timed else None,
+        )
+        one = _unit_rows(rng, idx._chunk_queries(4), 66)
+        measured = []
+        for reps in (1, 4):
+            qmat = np.tile(one, (reps, 1))
+            qt = np.zeros(len(qmat)) if timed else None
+            tracemalloc.start()
+            try:
+                got = idx.query_batch(qmat, 10, 4, query_times=qt)
+                measured.append(tracemalloc.get_traced_memory())
+            finally:
+                tracemalloc.stop()
+            assert got[2].sum() > 100_000 * reps
+        (_, peak1), (kept4, peak4) = measured
+        assert peak4 <= peak1 + kept4
 
 
 class TestFullProbe:
@@ -792,6 +856,14 @@ class TestSlabKeys:
         with pytest.raises(ValueError, match="finite"):
             query(keyed, rows[0], 2, request_time=math.inf)
         assert query(keyed, rows[0], 1, request_time=0.5)[0][0] == 0
+
+    def test_chunk_with_no_held_slab_near_any_query(self, rng):
+        rows = _unit_rows(rng, 3, 8)
+        keyed = LshIndex([0, 1, 2], rows, 2, 2, request_times=[0.0, 1.0, 2.0], max_delay_s=600.0)
+        results, counts, raws = keyed.query_batch(rows[:2], 2, 2, query_times=[1e6, -1e6])
+        assert results == [[], []]
+        assert counts.tolist() == [0, 0] and raws.tolist() == [0, 0]
+        assert query(keyed, rows[0], 1, request_time=1e6) == []
 
     @pytest.mark.parametrize("delay", [600.0, 7.0, 0.75])
     def test_slab_is_floor_on_edges_and_below_zero(self, rng, delay):
