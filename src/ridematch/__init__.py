@@ -13,7 +13,7 @@ from .roadnet import (
     route,
 )
 from .trips import Ride, Workload, load_trips_csv, subsample, synth_commute
-from .utility import MatchEvaluation, brute_force_topk, combined_cost, matching_utility
+from .utility import brute_force_topk
 
 __all__ = [
     "GeoPoint",
@@ -38,8 +38,5 @@ __all__ = [
     "load_trips_csv",
     "subsample",
     "synth_commute",
-    "MatchEvaluation",
     "brute_force_topk",
-    "combined_cost",
-    "matching_utility",
 ]

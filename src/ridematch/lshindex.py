@@ -226,7 +226,6 @@ class LshConfig:
 
 @dataclass
 class MatchSearchSummary:
-    n_rides: int
     degenerate_ids: list[int]
     candidates_per_query: np.ndarray
     raw_retrieved_per_query: np.ndarray
@@ -720,7 +719,7 @@ def find_potential_matches(
     matches: dict[int, list[tuple[int, float]]] = {r.id: [] for r in rides}
     if not sparse_rows:
         empty = np.zeros(0, dtype=np.int64)
-        return matches, MatchSearchSummary(len(rides), sorted(degenerate), empty, empty)
+        return matches, MatchSearchSummary(sorted(degenerate), empty, empty)
 
     data = np.stack([feature_hash(v, cfg.dim, fh_seed, fh_memo) for v in sparse_rows])
     data, _scale = normalize_dataset(data, cfg.max_norm)
@@ -752,7 +751,6 @@ def find_potential_matches(
         for ride, res in zip(live_rides, results):
             matches[ride.id] = res
     summary = MatchSearchSummary(
-        n_rides=len(rides),
         degenerate_ids=sorted(degenerate),
         candidates_per_query=counts,
         raw_retrieved_per_query=raws,

@@ -522,21 +522,6 @@ def _certify(eu, ev, ew, matched, u, blossoms) -> None:
             raise AssertionError("matching certificate: a blossom with positive dual is not full")
 
 
-def greedy_matching(g: ShareabilityNetwork) -> MatchingResult:
-    """Greedy matching by descending weight (ties by (u, v)): a lower bound on
-    the maximum-weight total, at least half of it."""
-    seen: set[int] = set()
-    pairs = []
-    total = 0.0
-    for u, v, w in sorted(g.edges, key=lambda e: (-e[2], e[0], e[1])):
-        if u not in seen and v not in seen:
-            pairs.append((u, v))
-            seen.add(u)
-            seen.add(v)
-            total += w
-    return MatchingResult(pairs=sorted(pairs), total_utility=total, unmatched=sorted(set(g.nodes) - seen))
-
-
 def optimal_utility(
     rides: list[Ride],
     net: RoadNetwork,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,25 +64,20 @@ class Route:
 
 
 class RoutingLedger:
-    """Counts logical routing-service calls: 10 ms per batch of <= 100 requests.
-
-    Thread-safe; concurrent charges never lose counts.
-    """
+    """Counts logical routing-service calls: 10 ms per batch of <= 100 requests."""
 
     def __init__(self):
         self.call_count = 0
         self.batch_count = 0
         self.simulated_latency_ms = 0.0
-        self._lock = threading.Lock()
 
     def charge(self, n_requests: int):
         if n_requests <= 0:
             return
         batches = -(-n_requests // BATCH_SIZE)
-        with self._lock:
-            self.call_count += n_requests
-            self.batch_count += batches
-            self.simulated_latency_ms += BATCH_LATENCY_MS * batches
+        self.call_count += n_requests
+        self.batch_count += batches
+        self.simulated_latency_ms += BATCH_LATENCY_MS * batches
 
 
 def _csr_graph(indptr, indices, weights) -> csr_matrix:
@@ -247,9 +241,6 @@ class RoadNetwork:
 
     def node_point(self, i: int) -> GeoPoint:
         return self._points[i]
-
-    def nearest_node(self, p: GeoPoint) -> int:
-        return int(self.nearest_nodes([p.lat], [p.lon])[0])
 
     def nearest_nodes(self, lats, lons) -> np.ndarray:
         """The node nearest each point by haversine distance, the lowest node

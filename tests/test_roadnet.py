@@ -405,10 +405,10 @@ class TestSnapping:
             net = RoadNetwork([c[0] for c in order], [c[1] for c in order], [], [], [], [])
             d = haversine_km_arrays(net.node_lat, net.node_lon, 0.0, 0.0)
             assert np.all(d == d[0])  # the centre is exactly as far from every corner
-            assert net.nearest_node(GeoPoint(0.0, 0.0)) == 0
-            midpoint = GeoPoint(order[1][0] / 2 + order[3][0] / 2, order[1][1] / 2 + order[3][1] / 2)
+            assert net.nearest_nodes([0.0], [0.0]).tolist() == [0]
+            midpoint = (order[1][0] / 2 + order[3][0] / 2, order[1][1] / 2 + order[3][1] / 2)
             if order[1][0] == order[3][0] or order[1][1] == order[3][1]:  # a side, not a diagonal
-                assert net.nearest_node(midpoint) == 1
+                assert net.nearest_nodes([midpoint[0]], [midpoint[1]]).tolist() == [1]
 
     @pytest.mark.parametrize("block", [1, 7, 2**18])
     def test_blocked_snapping_equals_per_point(self, monkeypatch, block):
@@ -429,7 +429,7 @@ class TestSnapping:
             ties += len(nearest) > 1
         # edge midpoints on a grid tie exactly between the edge's ends
         assert ties > 1000
-        assert net.nearest_node(GeoPoint(lats[0], lons[0])) == got[0] == min(u[0], v[0])
+        assert net.nearest_nodes(lats[:1], lons[:1])[0] == got[0] == min(u[0], v[0])
 
     @pytest.mark.parametrize(
         "lats, lons, first",

@@ -1,55 +1,29 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pair_oracle import oracle_pair
 
 import ridematch.utility as utility
-from ridematch.roadnet import RoutingLedger
+from ridematch.roadnet import RoadNetwork, RoutingLedger
 from ridematch.trips import Ride
-from ridematch.utility import (
-    ORDERING_LABELS,
-    brute_force_topk,
-    brute_force_topk_all,
-    combined_cost,
-    matching_utility,
-    pairwise_utilities,
-)
+from ridematch.utility import brute_force_topk, brute_force_topk_all, pairwise_utilities
 
 
-def oracle_pair(net, a, b, max_delay_s):
-    """Independent 4-ordering evaluation straight from the definitions."""
-    d = net.distance_matrix(np.arange(net.n_nodes))
-    a_s, a_t, b_s, b_t = a.pickup_node, a.dropoff_node, b.pickup_node, b.dropoff_node
-    orderings = {
-        "ssTT": d[a_s, b_s] + d[b_s, a_t] + d[a_t, b_t],
-        "ssT'T": d[a_s, b_s] + b.cost + d[b_t, a_t],
-        "s'sT'T": d[b_s, a_s] + d[a_s, b_t] + d[b_t, a_t],
-        "s'sTT'": d[b_s, a_s] + a.cost + d[a_t, b_t],
-    }
-    allowed = {}
-    for label, cost in orderings.items():
-        delay = d[a_s, b_s] if label.startswith("ss") else d[b_s, a_s]
-        if delay <= max_delay_s and math.isfinite(cost):
-            allowed[label] = cost
-    if not allowed:
-        return math.inf, None, False, 0.0
-    best_label = min(allowed, key=lambda k: (allowed[k], ORDERING_LABELS.index(k)))
-    combined = allowed[best_label]
-    feasible = abs(a.request_time - b.request_time) <= max_delay_s
-    utility = max(0.0, a.cost + b.cost - combined) if feasible else 0.0
-    return combined, best_label if math.isfinite(combined) else None, feasible, utility
+def random_pairs(rides, seed, m):
+    rng = np.random.default_rng(seed)
+    return np.array([(rng.integers(len(rides)), rng.integers(len(rides))) for _ in range(m)])
 
 
 class TestCombinedCost:
     def test_identical_ride(self, city21, small_workload):
         r = small_workload.rides[0]
-        ev = combined_cost(r, r, city21)
-        assert abs(ev.combined_cost - r.cost) < 1e-9
-        assert abs(ev.utility - r.cost) < 1e-9
-        assert ev.feasible
+        u = pairwise_utilities(city21, [r], np.array([[0, 0]]))[0]
+        assert abs(u - r.cost) < 1e-9
 
     def test_small_delay_makes_infeasible(self, city21, small_workload):
         rides = small_workload.rides
@@ -58,21 +32,14 @@ class TestCombinedCost:
             ((a, b) for a in rides[:10] for b in rides[:40]),
             key=lambda p: city21.distance_matrix([p[0].pickup_node])[0, p[1].pickup_node],
         )
-        ev = combined_cost(far[0], far[1], city21, max_delay_s=1.0)
-        assert not ev.feasible
-        assert ev.utility == 0.0
+        assert pairwise_utilities(city21, list(far), np.array([[0, 1]]), max_delay_s=1.0)[0] == 0.0
 
     def test_matches_independent_oracle(self, city21, small_workload):
         rides = small_workload.rides
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            a, b = rides[rng.integers(len(rides))], rides[rng.integers(len(rides))]
-            ev = combined_cost(a, b, city21)
-            combined, label, feasible, utility = oracle_pair(city21, a, b, 600.0)
-            assert ev.combined_cost == pytest.approx(combined, abs=1e-9)
-            assert ev.best_ordering == label
-            assert ev.feasible == feasible
-            assert ev.utility == pytest.approx(utility, abs=1e-9)
+        pairs = random_pairs(rides, 5, 300)
+        got = pairwise_utilities(city21, rides, pairs)
+        for (i, j), u in zip(pairs, got):
+            assert u == oracle_pair(city21, rides[i], rides[j], 600.0)
 
     def test_matches_oracle_on_small_grid(self):
         from ridematch.roadnet import build_grid_network
@@ -80,67 +47,56 @@ class TestCombinedCost:
 
         net = build_grid_network(5, 5, 500.0, speed_jitter_seed=7)
         rides = synth_commute(net, 30, seed=8).rides
-        for a in rides[:10]:
-            for b in rides[10:25]:
-                ev = combined_cost(a, b, net)
-                combined, label, feasible, utility = oracle_pair(net, a, b, 600.0)
-                assert ev.combined_cost == pytest.approx(combined, abs=1e-9)
-                assert ev.best_ordering == label
-                assert ev.utility == pytest.approx(utility, abs=1e-9)
-
-    def test_best_ordering_legs_sum_to_combined(self, city21, small_workload):
-        d = city21.distance_matrix(np.arange(city21.n_nodes))
-        rides = small_workload.rides
-        for a, b in zip(rides[:30], rides[40:70]):
-            ev = combined_cost(a, b, city21)
-            if not math.isfinite(ev.combined_cost):
-                continue
-            legs = {
-                "ssTT": [(a.pickup_node, b.pickup_node), (b.pickup_node, a.dropoff_node), (a.dropoff_node, b.dropoff_node)],
-                "ssT'T": [(a.pickup_node, b.pickup_node), (b.pickup_node, b.dropoff_node), (b.dropoff_node, a.dropoff_node)],
-                "s'sT'T": [(b.pickup_node, a.pickup_node), (a.pickup_node, b.dropoff_node), (b.dropoff_node, a.dropoff_node)],
-                "s'sTT'": [(b.pickup_node, a.pickup_node), (a.pickup_node, a.dropoff_node), (a.dropoff_node, b.dropoff_node)],
-            }[ev.best_ordering]
-            assert sum(d[u, v] for u, v in legs) == pytest.approx(ev.combined_cost, abs=1e-9)
+        pairs = np.array([(i, j) for i in range(10) for j in range(10, 25)])
+        got = pairwise_utilities(net, rides, pairs)
+        for (i, j), u in zip(pairs, got):
+            assert u == oracle_pair(net, rides[i], rides[j], 600.0)
 
     def test_charges_six_calls(self, city21, small_workload):
         ledger = RoutingLedger()
-        combined_cost(small_workload.rides[0], small_workload.rides[1], city21, ledger)
+        pairwise_utilities(city21, small_workload.rides[:2], np.array([[0, 1]]), ledger=ledger)
         assert ledger.call_count == 6
 
 
 class TestMatchingUtility:
     def test_symmetry_exact(self, city21, small_workload):
         rides = small_workload.rides
-        for a, b in zip(rides[:40], rides[50:90]):
-            assert matching_utility(a, b, city21) == matching_utility(b, a, city21)
+        pairs = np.stack([np.arange(40), np.arange(50, 90)], axis=1)
+        assert np.array_equal(
+            pairwise_utilities(city21, rides, pairs), pairwise_utilities(city21, rides, pairs[:, ::-1])
+        )
 
     def test_nonnegative(self, city21, small_workload):
         rides = small_workload.rides
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            a, b = rides[rng.integers(len(rides))], rides[rng.integers(len(rides))]
-            assert matching_utility(a, b, city21) >= 0.0
+        assert np.all(pairwise_utilities(city21, rides, random_pairs(rides, 1, 200)) >= 0.0)
 
     def test_monotone_in_max_delay(self, city21, small_workload):
         rides = small_workload.rides
-        for a, b in zip(rides[:30], rides[60:90]):
-            u_small = matching_utility(a, b, city21, max_delay_s=120.0)
-            u_big = matching_utility(a, b, city21, max_delay_s=1200.0)
-            if u_small > 0:
-                assert u_big > 0
+        pairs = np.stack([np.arange(30), np.arange(60, 90)], axis=1)
+        u_small = pairwise_utilities(city21, rides, pairs, max_delay_s=120.0)
+        u_big = pairwise_utilities(city21, rides, pairs, max_delay_s=1200.0)
+        assert np.all(u_big[u_small > 0] > 0)
 
     def test_bounded_by_shorter_ride(self, city21, small_workload):
         rides = small_workload.rides
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            a, b = rides[rng.integers(len(rides))], rides[rng.integers(len(rides))]
-            u = matching_utility(a, b, city21)
-            assert u <= min(a.cost, b.cost) + 1e-6
+        pairs = random_pairs(rides, 2, 300)
+        costs = np.array([r.cost for r in rides])
+        u = pairwise_utilities(city21, rides, pairs)
+        assert np.all(u <= np.minimum(costs[pairs[:, 0]], costs[pairs[:, 1]]) + 1e-6)
 
     def test_invalid_delay(self, city21, small_workload):
-        with pytest.raises(ValueError):
-            matching_utility(small_workload.rides[0], small_workload.rides[1], city21, max_delay_s=0)
+        rides = small_workload.rides[:3]
+        pairs = np.array([[0, 1]])
+        evaluators = [
+            lambda d: pairwise_utilities(city21, rides, pairs, max_delay_s=d),
+            lambda d: brute_force_topk(rides, rides[0], 2, city21, max_delay_s=d),
+            lambda d: brute_force_topk_all(rides, 2, city21, max_delay_s=d),
+        ]
+        for evaluate in evaluators:
+            for bad in (0, 0.0, -1.0, -math.inf, math.nan):
+                with pytest.raises(ValueError, match="max_delay_s must be positive"):
+                    evaluate(bad)
+            evaluate(math.inf)  # no time limit is allowed
 
 
 class TestBruteForceTopk:
@@ -166,11 +122,9 @@ class TestBruteForceTopk:
         for r in rides:
             if r.id == q.id:
                 continue
-            pairs.append((r.id, matching_utility(q, r, city21)))
+            pairs.append((r.id, oracle_pair(city21, q, r, 600.0)))
         pairs.sort(key=lambda kv: (-kv[1], kv[0]))
-        assert [rid for rid, _ in got] == [rid for rid, _ in pairs[:10]]
-        for (g, gu), (e, eu) in zip(got, pairs[:10]):
-            assert gu == pytest.approx(eu, abs=1e-9)
+        assert got == pairs[:10]
 
     def test_topk_all_agrees_with_single(self, city21, small_workload, monkeypatch):
         rides = small_workload.rides[:40]
@@ -199,7 +153,7 @@ class TestPairwiseUtilities:
         weights = pairwise_utilities(city21, rides, pairs, ledger=ledger)
         assert ledger.call_count == 6 * len(pairs)
         for (i, j), w in zip(pairs, weights):
-            assert w == pytest.approx(matching_utility(rides[i], rides[j], city21), abs=1e-12)
+            assert w == oracle_pair(city21, rides[i], rides[j], 600.0)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -220,3 +174,34 @@ class TestPairwiseUtilities:
         costs = np.array([r.cost for r in rides])
         assert np.all(u >= 0.0)
         assert np.all(u <= np.minimum(costs[pairs[:, 0]], costs[pairs[:, 1]]) + 1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_masked_orderings_on_one_way_networks(self, data):
+        # a few nodes joined by one-way edges of whole seconds, so some cross
+        # legs are unreachable (inf) and some pickup legs equal a drawn delay
+        n = data.draw(st.integers(2, 6))
+        node = st.integers(0, n - 1)
+        arcs = data.draw(
+            st.dictionaries(st.tuples(node, node).filter(lambda e: e[0] != e[1]), st.integers(1, 400), max_size=12)
+        )
+        net = RoadNetwork(
+            [40.0 + 0.01 * i for i in range(n)], [-74.0] * n,
+            [u for u, _ in arcs], [v for _, v in arcs], [float(w) for w in arcs.values()], [1.0] * len(arcs),
+        )
+        dist = net.distance_matrix(np.arange(n))
+        trips = [(s, t) for s in range(n) for t in range(n) if np.isfinite(dist[s, t])]
+        specs = data.draw(st.lists(st.tuples(st.sampled_from(trips), st.integers(0, 900)), min_size=2, max_size=8))
+        rides = [
+            Ride(i, net.node_point(s), net.node_point(t), float(rt), [], float(dist[s, t]), s, t)
+            for i, ((s, t), rt) in enumerate(specs)
+        ]
+        legs = sorted({float(x) for x in dist.ravel() if 0 < x < np.inf})
+        max_delay_s = data.draw(st.one_of(st.sampled_from(legs + [math.inf]), st.floats(0.5, 900.0)))
+        index = st.integers(0, len(rides) - 1)
+        pairs = np.array(data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=20)), dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u = pairwise_utilities(net, rides, pairs, max_delay_s)
+        expected = np.array([oracle_pair(net, rides[i], rides[j], max_delay_s) for i, j in pairs])
+        assert u.tobytes() == expected.tobytes()
